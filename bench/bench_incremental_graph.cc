@@ -3,16 +3,19 @@
 //
 // BENCH_profile.json pins `graph.build` at ~88–92% of FoodMatch/KM decision
 // time; the EdgeCache attacks exactly that share by replaying recorded
-// best-first search footprints, reusing provably unchanged pair weights and
-// memoized SP legs, and geo-pruning unreachable vehicles. This bench runs
-// each city/policy twice — incremental off, then on — and
+// best-first search footprints and serving SP legs from per-shard duration
+// memos. This bench runs each city/policy twice — incremental off, then
+// on — and
 //
 //   1. FAILS (exit 1) unless the two SimulationResults are bit-identical,
 //      and again unless the 4-lane incremental run matches the 1-lane one —
 //      the cache may only ever change the clock, never a number;
-//   2. reports the graph-phase share before/after plus the cache's hit/replay
-//      counters, written to BENCH_incremental.json (--out=PATH) so CI archives
-//      the trajectory of the graph share next to BENCH_profile.json.
+//   2. reports the graph-phase share before/after plus the cache's replay
+//      and memo counters, written to BENCH_incremental.json (--out=PATH) so
+//      CI archives the trajectory of the graph share next to
+//      BENCH_profile.json. `footprint_replays` / `footprint_rebuilds` are
+//      pure functions of the event stream (equal for 1 and 4 lanes), and
+//      tools/check_bench_regression.py holds them to the anchor exactly.
 //
 // Comparability with BENCH_profile.json: the runs use the same 11h–14h
 // horizon as the profiled bench_fig6fgh rows, and `graph_share` is computed
@@ -139,8 +142,8 @@ struct ReportEntry {
   bool has_cache = false;
 };
 
-// Graph-phase seconds of one run: `graph.build` from-scratch,
-// `graph.invalidate` + `graph.prune` + `graph.delta` incrementally.
+// Graph-phase seconds of one run: every graph.* phase (today `graph.build`,
+// which the scratch and incremental paths both record).
 double GraphPhaseSeconds(const PhaseProfile& phases) {
   double total = 0.0;
   for (const auto& [name, stat] : phases.Ranked()) {
@@ -170,25 +173,15 @@ bool WriteReport(const std::string& path,
       const EdgeCacheStats& c = e.cache;
       entry += StrFormat(
           ",\n      \"cache\": {\n"
-          "        \"pair_hits\": %llu, \"pair_misses\": %llu,\n"
-          "        \"footprint_replays\": %llu, \"footprint_resumes\": %llu,\n"
+          "        \"footprint_replays\": %llu,\n"
           "        \"footprint_rebuilds\": %llu,\n"
-          "        \"pruned_vehicles\": %llu, \"pruned_pairs\": %llu,\n"
-          "        \"epoch_bumps\": %llu, \"retirements\": %llu,\n"
-          "        \"invalidated_vehicles\": %llu,\n"
+          "        \"retirements\": %llu,\n"
           "        \"duration_memo_hits\": %llu,\n"
           "        \"duration_memo_misses\": %llu\n"
           "      }",
-          static_cast<unsigned long long>(c.pair_hits),
-          static_cast<unsigned long long>(c.pair_misses),
           static_cast<unsigned long long>(c.footprint_replays),
-          static_cast<unsigned long long>(c.footprint_resumes),
           static_cast<unsigned long long>(c.footprint_rebuilds),
-          static_cast<unsigned long long>(c.pruned_vehicles),
-          static_cast<unsigned long long>(c.pruned_pairs),
-          static_cast<unsigned long long>(c.epoch_bumps),
           static_cast<unsigned long long>(c.retirements),
-          static_cast<unsigned long long>(c.invalidated_vehicles),
           static_cast<unsigned long long>(c.duration_memo_hits),
           static_cast<unsigned long long>(c.duration_memo_misses));
     }
@@ -224,7 +217,7 @@ int Main(int argc, char** argv) {
   std::vector<ReportEntry> entries;
   TablePrinter table({"City/Policy", "mode", "threads", "graph(s)",
                       "decision(s)", "graph-share", "graph-speedup",
-                      "pair-hit%", "replays"});
+                      "memo-hit%", "replays"});
   for (const Case& c : cases) {
     const std::string label = c.profile.name + "/" + PolicyName(c.kind);
     RunSpec spec;
@@ -283,13 +276,15 @@ int Main(int argc, char** argv) {
       e.fingerprint = run.fingerprint;
       e.cache = run.cache;
       e.has_cache = run.has_cache;
-      const std::uint64_t lookups = e.cache.pair_hits + e.cache.pair_misses;
+      const std::uint64_t lookups =
+          e.cache.duration_memo_hits + e.cache.duration_memo_misses;
       table.AddRow(
           {label, mode, Fmt(threads, 0), Fmt(e.graph_seconds, 3),
            Fmt(e.decision_seconds, 3), FmtPercent(100.0 * e.graph_share),
            Fmt(e.graph_speedup, 2) + "x",
            run.has_cache && lookups > 0
-               ? FmtPercent(100.0 * static_cast<double>(e.cache.pair_hits) /
+               ? FmtPercent(100.0 *
+                            static_cast<double>(e.cache.duration_memo_hits) /
                             static_cast<double>(lookups))
                : "-",
            run.has_cache ? Fmt(static_cast<double>(e.cache.footprint_replays),

@@ -67,14 +67,9 @@ class AssignmentPolicy {
   // (the two phases never overlap: Assign returns before rebuilds start).
   virtual ThreadPool* thread_pool() const { return nullptr; }
 
-  // Change-notification hooks, fired by the DispatchEngine between windows
-  // whenever a vehicle's assignment-relevant state changes (orders added,
-  // picked up, delivered, stripped by reshuffle, plan/position committed) or
-  // the vehicle leaves the fleet. Policies that cache per-vehicle state
-  // (core/edge_cache.h) use them for eager invalidation; the defaults are
-  // no-ops. Only advisory for correctness — caching policies must also
-  // validate against the snapshots Assign receives.
-  virtual void OnVehicleChanged(VehicleId /*vehicle*/) {}
+  // Retirement notification, fired by the DispatchEngine when a vehicle
+  // leaves the fleet. Policies that cache per-vehicle state
+  // (core/edge_cache.h) free it here; the default is a no-op.
   virtual void OnVehicleRetired(VehicleId /*vehicle*/) {}
 };
 

@@ -58,12 +58,8 @@ void DispatchEngine::Handle(VehicleStateUpdate event) {
     event.snapshot.picked = record.snapshot.picked;
     event.snapshot.unpicked = record.snapshot.unpicked;
   }
-  const bool changed = !(record.snapshot == event.snapshot);
   record.snapshot = std::move(event.snapshot);
   record.on_duty = event.on_duty;
-  // Content diff, not event presence: drivers re-announce every vehicle each
-  // window, and unchanged snapshots must not invalidate cached state.
-  if (changed) policy_->OnVehicleChanged(record.snapshot.id);
 }
 
 void DispatchEngine::Handle(OrderDelivered event) {
@@ -72,12 +68,9 @@ void DispatchEngine::Handle(OrderDelivered event) {
   auto it = vehicle_index_.find(event.vehicle);
   if (it == vehicle_index_.end()) return;
   VehicleSnapshot& v = vehicles_[it->second].snapshot;
-  const std::size_t erased =
-      std::erase_if(v.picked,
-                    [&](const Order& o) { return o.id == event.order; }) +
-      std::erase_if(v.unpicked,
-                    [&](const Order& o) { return o.id == event.order; });
-  if (erased > 0) policy_->OnVehicleChanged(v.id);
+  std::erase_if(v.picked, [&](const Order& o) { return o.id == event.order; });
+  std::erase_if(v.unpicked,
+                [&](const Order& o) { return o.id == event.order; });
 }
 
 void DispatchEngine::Handle(VehicleRetired event) {
@@ -182,7 +175,6 @@ WindowResult DispatchEngine::Handle(const WindowClosed& event) {
       }
       v.unpicked.clear();
       result.reshuffled_vehicles.push_back(v.id);
-      policy_->OnVehicleChanged(v.id);
     }
   }
 
@@ -232,7 +224,6 @@ WindowResult DispatchEngine::Handle(const WindowClosed& event) {
                 config_.max_orders_per_vehicle);
     FM_CHECK_LE(TotalItems(v.picked) + TotalItems(v.unpicked),
                 config_.max_items_per_vehicle);
-    policy_->OnVehicleChanged(item.vehicle);
   }
 
   // 6. Stripped orders the matching did not reassign fall back to their
@@ -250,7 +241,6 @@ WindowResult DispatchEngine::Handle(const WindowClosed& event) {
       if (Fits(record, *it)) {
         record.snapshot.unpicked.push_back(*it);
         result.reinstatements.push_back({*it, record.snapshot.id});
-        policy_->OnVehicleChanged(record.snapshot.id);
         it = pool_.erase(it);
       } else {
         ++it;

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/profiler.h"
 #include "common/time.h"
 #include "core/edge_cache.h"
 #include "geo/geo.h"
@@ -31,20 +30,24 @@ struct LazyBase {
 // Edge weight for one batch-vehicle pair: min(mCost, Ω), or Ω when the pair
 // is infeasible (Def. 4 capacities, unreachable stops, or the 45-minute
 // first-mile bound of §V-B). `base` caches the vehicle's base-route cost
-// across calls for the same vehicle.
-Seconds ScratchPairWeight(const DistanceOracle& oracle, const Config& config,
-                          const Batch& batch, const VehicleSnapshot& vehicle,
-                          Seconds now, LazyBase& base) {
+// across calls for the same vehicle. A non-null `memo` serves the SP legs;
+// it replays the oracle's own answers, so the weight is bit-identical with
+// or without one.
+Seconds PairWeight(const DistanceOracle& oracle, const Config& config,
+                   const Batch& batch, const VehicleSnapshot& vehicle,
+                   Seconds now, LazyBase& base, DurationMemo* memo) {
   const Seconds omega = config.rejection_penalty;
   const Seconds first_mile =
-      oracle.Duration(vehicle.location, batch.first_pickup, now);
+      memo != nullptr
+          ? memo->Duration(oracle, vehicle.location, batch.first_pickup, now)
+          : oracle.Duration(vehicle.location, batch.first_pickup, now);
   if (first_mile > config.max_first_mile) return omega;
   if (!base.computed) {
-    base.value = BaseRouteCost(oracle, vehicle, now);
+    base.value = BaseRouteCost(oracle, vehicle, now, memo);
     base.computed = true;
   }
-  const Seconds mcost =
-      MarginalCostWithBase(oracle, vehicle, now, batch.orders, base.value);
+  const Seconds mcost = MarginalCostWithBase(oracle, vehicle, now,
+                                             batch.orders, base.value, memo);
   if (mcost == kInfiniteTime) return omega;
   return std::min(mcost, omega);
 }
@@ -109,83 +112,6 @@ StartIndex BuildStartIndex(const std::vector<Batch>& batches) {
   return index;
 }
 
-// Geodesic reachability pruning. Any path's travel time is at least its
-// great-circle length divided by the fastest speed in the network, so a
-// vehicle whose straight-line distance to every candidate first-pickup node
-// exceeds
-//
-//   radius = max_first_mile · v_max · (1 + ε) + 1 m
-//
-// provably fails the first-mile bound everywhere: its column stays Ω and
-// (in the sparsified build) its starts-scan would never reach an mCost
-// evaluation. Skipping it changes nodes_expanded only — which the builders
-// keep equal between the scratch and incremental paths by applying the
-// identical test in both.
-struct PruneContext {
-  bool vehicle_prune = false;  // whole-column skip (needs start positions)
-  bool pair_prune = false;     // per-pair skip in the full build
-  double radius_m = 0.0;
-  // Candidate first-pickup positions sorted by latitude for a banded scan.
-  std::vector<std::pair<double, double>> starts_by_lat;  // (lat_deg, lon_deg)
-};
-
-// Underestimate of meters per degree of latitude — overestimates the scan
-// band, which is the safe direction.
-constexpr double kMinMetersPerDegLat = 110000.0;
-
-PruneContext BuildPruneContext(const DistanceOracle& oracle,
-                               const Config& config, int slot,
-                               const std::vector<NodeId>& start_nodes) {
-  PruneContext ctx;
-  const RoadNetwork& net = oracle.network();
-  double vmax = 0.0;
-  if (oracle.backend() == OracleBackend::kHaversine) {
-    vmax = oracle.haversine_speed_mps();
-  } else {
-    for (std::size_t e = 0; e < net.num_edges(); ++e) {
-      const EdgeId edge = static_cast<EdgeId>(e);
-      const double h = Haversine(net.node_position(net.edge_tail(edge)),
-                                 net.node_position(net.edge_head(edge)));
-      if (h <= 0.0) continue;
-      const Seconds t = net.EdgeTime(edge, slot);
-      if (t <= 0.0) return ctx;  // zero-time edge: no speed bound, disable
-      vmax = std::max(vmax, h / t);
-    }
-  }
-  if (vmax <= 0.0) return ctx;  // degenerate geometry: disable
-  ctx.radius_m = config.max_first_mile * vmax * (1.0 + 1e-9) + 1.0;
-  ctx.pair_prune = true;
-  ctx.starts_by_lat.reserve(start_nodes.size());
-  for (NodeId node : start_nodes) {
-    const LatLon& pos = net.node_position(node);
-    ctx.starts_by_lat.emplace_back(pos.lat_deg, pos.lon_deg);
-  }
-  std::sort(ctx.starts_by_lat.begin(), ctx.starts_by_lat.end());
-  ctx.vehicle_prune = !ctx.starts_by_lat.empty();
-  return ctx;
-}
-
-// True when every candidate first-pickup node is provably beyond the
-// reachability radius of `pos`.
-bool VehicleOutOfRange(const PruneContext& ctx, const LatLon& pos) {
-  if (!ctx.vehicle_prune) return false;
-  const double band = ctx.radius_m / kMinMetersPerDegLat;
-  auto it = std::lower_bound(
-      ctx.starts_by_lat.begin(), ctx.starts_by_lat.end(),
-      std::make_pair(pos.lat_deg - band, -std::numeric_limits<double>::max()));
-  for (; it != ctx.starts_by_lat.end() && it->first <= pos.lat_deg + band;
-       ++it) {
-    const LatLon start{it->first, it->second};
-    if (Haversine(pos, start) <= ctx.radius_m) return false;
-  }
-  return true;
-}
-
-bool PairOutOfRange(const PruneContext& ctx, const LatLon& vehicle_pos,
-                    const LatLon& start_pos) {
-  return ctx.pair_prune && Haversine(vehicle_pos, start_pos) > ctx.radius_m;
-}
-
 // Reusable scratch for one vehicle's best-first search; allocated once per
 // shard so parallel searches never share mutable state.
 struct SearchScratch {
@@ -198,21 +124,13 @@ struct SearchScratch {
 };
 
 // Counters one shard accumulates privately; reduced over shards in fixed
-// order so totals are identical for any thread count.
+// order so totals are identical for any thread count. The footprint counters
+// stay zero outside the incremental sparsified build.
 struct ShardCounters {
   std::uint64_t mcost_evaluations = 0;
   std::uint64_t nodes_expanded = 0;
-};
-
-// Per-shard slice of the EdgeCacheStats the incremental build accumulates.
-struct LocalCacheStats {
   std::uint64_t footprint_replays = 0;
-  std::uint64_t footprint_resumes = 0;
   std::uint64_t footprint_rebuilds = 0;
-  std::uint64_t pair_hits = 0;
-  std::uint64_t pair_misses = 0;
-  std::uint64_t pruned_vehicles = 0;
-  std::uint64_t pruned_pairs = 0;
 };
 
 // The derived degree bound k (§V-B, with a coverage floor).
@@ -228,272 +146,113 @@ int DeriveK(const Config& config, const FoodGraphOptions& options,
   return std::max(k, 1);
 }
 
-// ---------------------------------------------------------------------------
-// Incremental helpers
-// ---------------------------------------------------------------------------
-
-// 64-bit FNV-1a of a batch's order ids. Equal batch content implies equal
-// hash, so the pair scan can compare it before the deep per-order compare
-// without ever changing a lookup's outcome.
-std::uint64_t BatchContentKey(const Batch& batch) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(batch.first_pickup));
-  mix(batch.orders.size());
-  for (const Order& order : batch.orders) {
-    mix(static_cast<std::uint64_t>(order.id));
+// Folds per-shard counters into the graph (and into the cache stats, when
+// given) in fixed shard order.
+void ReduceCounters(const std::vector<ShardCounters>& counters,
+                    FoodGraph& graph, EdgeCacheStats* stats = nullptr) {
+  for (const ShardCounters& c : counters) {
+    graph.mcost_evaluations += c.mcost_evaluations;
+    graph.nodes_expanded += c.nodes_expanded;
+    if (stats != nullptr) {
+      stats->footprint_replays += c.footprint_replays;
+      stats->footprint_rebuilds += c.footprint_rebuilds;
+    }
   }
-  return h;
 }
 
-// Flat per-shard scratch an extension session runs on. The footprint's
-// persistent label list is loaded into stamped arrays when a window first
-// needs to extend the recorded search (pure replays never open a session),
-// the extension loop then relaxes at from-scratch array speed, and the
-// touched set is written back on close. Stamps make reuse across sessions
-// O(touched) instead of O(|V|) fills.
-struct FootprintScratch {
-  std::uint64_t session = 0;
-  std::vector<std::uint64_t> label_stamp;  // == session: alpha/beta valid
-  std::vector<std::uint64_t> visit_stamp;  // == session: node settled
+// ---------------------------------------------------------------------------
+// Incremental construction (through the EdgeCache)
+// ---------------------------------------------------------------------------
+
+// A live best-first search (the loop of Alg. 2) that settles nodes into a
+// SearchFootprint one at a time. Allocated once per shard per build; stamps
+// make reuse across vehicles O(touched) instead of the O(|V|) fills the
+// from-scratch search pays per vehicle. The heap ops mirror
+// std::priority_queue's push/pop exactly, so the settle order is
+// bit-identical to the from-scratch search.
+struct LiveSearch {
+  using QueueEntry = std::pair<double, NodeId>;  // (α-distance, node)
+
+  const RoadNetwork& net;
+  const int slot;
+  const Seconds max_beta;
+  const double gamma;
+  const bool angular;
+  const Seconds max_first_mile;
+  const LatLon* source_pos = nullptr;
+  const LatLon* dest_pos = nullptr;
+  std::uint64_t stamp = 0;
+  std::vector<std::uint64_t> label_stamp;  // == stamp: alpha/beta valid
+  std::vector<std::uint64_t> visit_stamp;  // == stamp: node settled
   std::vector<double> alpha;
   std::vector<Seconds> beta;
-  std::vector<NodeId> touched;  // labelled nodes, first-touch order
+  std::vector<QueueEntry> queue;  // binary heap under std::greater
 
-  explicit FootprintScratch(std::size_t nodes)
-      : label_stamp(nodes, 0), visit_stamp(nodes, 0), alpha(nodes),
-        beta(nodes) {}
+  LiveSearch(const RoadNetwork& network, int hour_slot, Seconds max_edge_beta,
+             double search_gamma, bool use_angular, Seconds first_mile_bound)
+      : net(network), slot(hour_slot), max_beta(max_edge_beta),
+        gamma(search_gamma), angular(use_angular),
+        max_first_mile(first_mile_bound), label_stamp(network.num_nodes(), 0),
+        visit_stamp(network.num_nodes(), 0), alpha(network.num_nodes()),
+        beta(network.num_nodes()) {}
 
-  void Open(const SearchFootprint& fp) {
-    ++session;
-    touched.clear();
-    touched.reserve(fp.labels.size());
-    for (const FootprintLabel& label : fp.labels) {
-      label_stamp[label.node] = session;
-      alpha[label.node] = label.alpha;
-      beta[label.node] = label.beta;
-      touched.push_back(label.node);
-    }
-    for (const SearchVisit& visit : fp.visits) {
-      visit_stamp[visit.node] = session;
-    }
+  // Seeds the search exactly like the from-scratch one: `fp`'s source
+  // labelled at α = 0, β = 0, alone on the frontier.
+  void Start(const SearchFootprint& fp) {
+    ++stamp;
+    source_pos = &net.node_position(fp.source);
+    dest_pos = &net.node_position(fp.dest);
+    label_stamp[fp.source] = stamp;
+    alpha[fp.source] = 0.0;
+    beta[fp.source] = 0.0;
+    queue.assign(1, {0.0, fp.source});
   }
 
-  void Close(SearchFootprint& fp) const {
-    fp.labels.clear();
-    fp.labels.reserve(touched.size());
-    for (NodeId node : touched) {
-      fp.labels.push_back({node, alpha[node], beta[node]});
+  // Settles the next node and appends it to `fp.visits`; once the frontier
+  // drains, marks `fp` exhausted and returns false.
+  bool Settle(SearchFootprint& fp) {
+    const auto greater = std::greater<QueueEntry>{};
+    while (!queue.empty()) {
+      const auto [d, u] = queue.front();
+      std::pop_heap(queue.begin(), queue.end(), greater);
+      queue.pop_back();
+      if (visit_stamp[u] == stamp) continue;  // lazy-deletion duplicate
+      visit_stamp[u] = stamp;
+      const Seconds ubeta = beta[u];
+      fp.visits.push_back({u, ubeta});
+
+      for (EdgeId e : net.OutEdges(u)) {
+        const NodeId v = net.edge_head(e);
+        if (visit_stamp[v] == stamp) continue;
+        const Seconds edge_beta = net.EdgeTime(e, slot);
+        const Seconds nbeta = ubeta + edge_beta;
+        if (nbeta > max_first_mile) continue;
+        double edge_alpha = gamma * edge_beta / max_beta;
+        if (angular) {
+          edge_alpha += (1.0 - gamma) * AngularDistance(*source_pos, *dest_pos,
+                                                        net.node_position(v));
+        }
+        const double nd = d + edge_alpha;
+        if (label_stamp[v] != stamp || nd < alpha[v]) {
+          label_stamp[v] = stamp;
+          alpha[v] = nd;
+          beta[v] = nbeta;
+          queue.push_back({nd, v});
+          std::push_heap(queue.begin(), queue.end(), greater);
+        }
+      }
+      return true;
     }
+    fp.exhausted = true;
+    return false;
   }
 };
 
-// Settles the next node of `fp`'s recorded search live: pops the frontier
-// until a fresh node settles (appending it to the visit record) or the
-// queue drains (marking the footprint exhausted). Exactly one iteration of
-// the from-scratch search loop, operating on the session's flat arrays;
-// the heap ops mirror std::priority_queue's push/pop exactly, so the
-// settle order is bit-identical to the from-scratch search.
-bool ExtendOneVisit(SearchFootprint& fp, FootprintScratch& scratch,
-                    const RoadNetwork& net, int slot, Seconds max_beta,
-                    double gamma, bool angular, Seconds max_first_mile,
-                    const LatLon& source_pos, const LatLon& dest_pos) {
-  const std::uint64_t session = scratch.session;
-  const auto greater = std::greater<SearchFootprint::QueueEntry>{};
-  while (!fp.queue.empty()) {
-    const auto [d, u] = fp.queue.front();
-    std::pop_heap(fp.queue.begin(), fp.queue.end(), greater);
-    fp.queue.pop_back();
-    if (scratch.visit_stamp[u] == session) continue;  // lazy-deletion dup
-    scratch.visit_stamp[u] = session;
-    const Seconds ubeta = scratch.beta[u];
-    fp.visits.push_back({u, ubeta});
-
-    for (EdgeId e : net.OutEdges(u)) {
-      const NodeId v = net.edge_head(e);
-      if (scratch.visit_stamp[v] == session) continue;
-      const Seconds beta = net.EdgeTime(e, slot);
-      const Seconds nbeta = ubeta + beta;
-      if (nbeta > max_first_mile) continue;
-      double alpha = gamma * beta / max_beta;
-      if (angular) {
-        alpha += (1.0 - gamma) *
-                 AngularDistance(source_pos, dest_pos, net.node_position(v));
-      }
-      const double nd = d + alpha;
-      if (scratch.label_stamp[v] != session) {
-        scratch.label_stamp[v] = session;
-        scratch.alpha[v] = nd;
-        scratch.beta[v] = nbeta;
-        scratch.touched.push_back(v);
-        fp.queue.push_back({nd, v});
-        std::push_heap(fp.queue.begin(), fp.queue.end(), greater);
-      } else if (nd < scratch.alpha[v]) {
-        scratch.alpha[v] = nd;
-        scratch.beta[v] = nbeta;
-        fp.queue.push_back({nd, v});
-        std::push_heap(fp.queue.begin(), fp.queue.end(), greater);
-      }
-    }
-    return true;
-  }
-  fp.exhausted = true;
-  return false;
-}
-
-// Weight of one (batch, vehicle) pair through the pair-value cache: reuse
-// the stored weight when EdgeCache::PairValid proves the from-scratch build
-// would bitwise-reproduce it, otherwise recompute (through the shard's
-// DurationMemo) and store.
-Seconds CachedPairWeight(EdgeCache& cache, VehicleCacheEntry& entry,
-                         std::uint64_t batch_key, const Batch& batch,
-                         const VehicleSnapshot& vehicle, Seconds now,
-                         DurationMemo& memo, LazyBase& base,
-                         LocalCacheStats& stats) {
-  for (const PairEntry& existing : entry.pairs) {
-    if (existing.batch_key == batch_key &&
-        existing.first_pickup == batch.first_pickup &&
-        existing.orders == batch.orders) {
-      if (cache.PairValid(existing, now)) {
-        ++stats.pair_hits;
-        return existing.weight;
-      }
-      break;  // stale: recompute and overwrite in place via StorePair
-    }
-  }
-  ++stats.pair_misses;
-
-  const DistanceOracle& oracle = cache.oracle();
-  const Config& config = cache.config();
-  const Seconds omega = config.rejection_penalty;
-  PairEntry pair;
-  pair.batch_key = batch_key;
-  pair.first_pickup = batch.first_pickup;
-  pair.orders = batch.orders;
-  pair.now0 = now;
-  pair.vehicle_empty = vehicle.picked.empty() && vehicle.unpicked.empty();
-
-  const Seconds first_mile =
-      memo.Duration(oracle, vehicle.location, batch.first_pickup, now);
-  if (first_mile > config.max_first_mile) {
-    pair.kind = PairKind::kOmegaFirstMile;
-    pair.weight = omega;
-  } else {
-    if (!base.computed) {
-      base.value = BaseRouteCost(oracle, vehicle, now, &memo);
-      base.computed = true;
-    }
-    MarginalCostDetail detail;
-    const Seconds mcost = MarginalCostWithBase(oracle, vehicle, now,
-                                               batch.orders, base.value, &memo,
-                                               &detail);
-    if (mcost == kInfiniteTime) {
-      pair.kind = PairKind::kOmegaInfeasible;
-      pair.weight = omega;
-    } else {
-      pair.ready_anchored = detail.ready_anchored;
-      pair.first_leg = detail.first_leg;
-      pair.first_ready = detail.first_ready;
-      if (mcost < omega) {
-        pair.kind = PairKind::kTrueCost;
-        pair.weight = mcost;
-      } else {
-        pair.kind = PairKind::kOmegaClamp;
-        pair.weight = omega;
-      }
-    }
-  }
-  const Seconds weight = pair.weight;
-  EdgeCache::StorePair(entry, std::move(pair));
-  return weight;
-}
-
-// One vehicle's sparsified column through the footprint cache: replay the
-// recorded visit sequence (bit-identical to re-running the search — the
-// visit order never depends on the batch set or k), extending it live only
-// when this window needs a deeper prefix.
-void RunFootprintSearch(EdgeCache& cache, VehicleCacheEntry& entry,
-                        const StartIndex& starts,
-                        const std::vector<Batch>& batches,
-                        const std::vector<std::uint64_t>& batch_keys,
-                        const VehicleSnapshot& vehicle, std::size_t j, int k,
-                        int slot, Seconds max_beta, double gamma, bool angular,
-                        Seconds now, DurationMemo& memo,
-                        FootprintScratch& scratch, FoodGraph& graph,
-                        ShardCounters& counters, LocalCacheStats& stats) {
-  const Config& config = cache.config();
-  const RoadNetwork& net = cache.oracle().network();
-  const LatLon& source_pos = net.node_position(vehicle.location);
-  const LatLon& dest_pos = net.node_position(vehicle.next_destination);
-
-  SearchFootprint& fp = entry.footprint;
-  const bool fresh = !fp.Matches(vehicle.location, vehicle.next_destination,
-                                 slot);
-  if (fresh) {
-    fp.Reset(vehicle.location, vehicle.next_destination, slot);
-    ++stats.footprint_rebuilds;
-  } else {
-    ++stats.footprint_replays;
-  }
-
-  LazyBase base;
-  int degree = 0;
-  std::size_t next_visit = 0;
-  bool resumed = false;
-  bool session_open = false;  // flat arrays loaded — only once extending
-  while (degree < k) {
-    if (next_visit == fp.visits.size()) {
-      if (fp.exhausted) break;
-      if (!fresh && !resumed) {
-        resumed = true;
-        ++stats.footprint_resumes;
-      }
-      if (!session_open) {
-        scratch.Open(fp);
-        session_open = true;
-      }
-      if (!ExtendOneVisit(fp, scratch, net, slot, max_beta, gamma, angular,
-                          config.max_first_mile, source_pos, dest_pos)) {
-        break;
-      }
-    }
-    const SearchVisit visit = fp.visits[next_visit++];
-    ++counters.nodes_expanded;
-
-    const auto [row_begin, row_end] = starts.RowsAt(visit.node);
-    for (const std::uint32_t* it = row_begin; it != row_end; ++it) {
-      const std::size_t i = *it;
-      if (degree >= k) break;
-      if (!SatisfiesCapacity(config, batches[i], vehicle)) continue;
-      if (visit.beta > config.max_first_mile) continue;
-      ++counters.mcost_evaluations;
-      graph.cost.set(i, j,
-                     CachedPairWeight(cache, entry, batch_keys[i], batches[i],
-                                      vehicle, now, memo, base, stats));
-      ++degree;
-    }
-  }
-  if (session_open) scratch.Close(fp);
-}
-
-void ReduceCacheStats(EdgeCache& cache,
-                      const std::vector<LocalCacheStats>& locals) {
-  EdgeCacheStats& stats = cache.stats();
-  for (const LocalCacheStats& local : locals) {
-    stats.footprint_replays += local.footprint_replays;
-    stats.footprint_resumes += local.footprint_resumes;
-    stats.footprint_rebuilds += local.footprint_rebuilds;
-    stats.pair_hits += local.pair_hits;
-    stats.pair_misses += local.pair_misses;
-    stats.pruned_vehicles += local.pruned_vehicles;
-    stats.pruned_pairs += local.pruned_pairs;
-  }
-}
-
-// Incremental sparsified construction (Alg. 2 through the EdgeCache).
+// Incremental sparsified construction (Alg. 2 through the EdgeCache): each
+// vehicle's column replays its recorded search footprint — bit-identical to
+// re-running the search, since the visit order never depends on the batch
+// set or k — and runs the search live only when the footprint is stale or
+// ends short of degree k.
 FoodGraph BuildIncrementalSparsified(const DistanceOracle& oracle,
                                      const Config& config,
                                      const FoodGraphOptions& options,
@@ -501,146 +260,126 @@ FoodGraph BuildIncrementalSparsified(const DistanceOracle& oracle,
                                      const std::vector<VehicleSnapshot>&
                                          vehicles,
                                      Seconds now, ThreadPool* pool,
-                                     EdgeCache& cache, PhaseProfile* profile) {
+                                     EdgeCache& cache) {
   const RoadNetwork& net = oracle.network();
   FoodGraph graph(batches.size(), vehicles.size(), config.rejection_penalty);
   if (batches.empty() || vehicles.empty()) return graph;
   const int k = DeriveK(config, options, batches.size(), vehicles.size());
+  const std::vector<VehicleCacheEntry*> entries = cache.BeginWindow(vehicles);
 
-  std::vector<VehicleCacheEntry*> slots;
-  {
-    ScopedPhaseTimer timer(profile, "graph.invalidate");
-    slots = cache.BeginWindow(vehicles);
-  }
-
-  StartIndex starts;
-  PruneContext prune;
-  std::vector<std::uint64_t> batch_keys(batches.size());
-  {
-    ScopedPhaseTimer timer(profile, "graph.prune");
-    starts = BuildStartIndex(batches);
-    if (!starts.empty()) {
-      starts.BuildFlat(net.num_nodes());
-      prune = BuildPruneContext(oracle, config, HourSlot(now), starts.nodes);
-      for (std::size_t i = 0; i < batches.size(); ++i) {
-        batch_keys[i] = BatchContentKey(batches[i]);
-      }
-    }
-  }
+  StartIndex starts = BuildStartIndex(batches);
   if (starts.empty()) return graph;
+  starts.BuildFlat(net.num_nodes());
 
   const int slot = HourSlot(now);
   const Seconds max_beta = net.MaxEdgeTime(slot);
   const double gamma = options.angular ? config.gamma : 1.0;
 
-  const int shards =
-      std::max(ShardCount(pool, vehicles.size()), 1);
+  auto fill_column = [&](std::size_t j, LiveSearch& search, DurationMemo& memo,
+                         ShardCounters& local) {
+    const VehicleSnapshot& vehicle = vehicles[j];
+    SearchFootprint& fp = entries[j]->footprint;
+    const bool replay =
+        fp.Matches(vehicle.location, vehicle.next_destination, slot);
+    if (replay) {
+      ++local.footprint_replays;
+    } else {
+      fp.Reset(vehicle.location, vehicle.next_destination, slot);
+      ++local.footprint_rebuilds;
+    }
+
+    LazyBase base;
+    int degree = 0;
+    std::size_t next_visit = 0;
+    bool live = false;  // `search` runs in step with fp.visits
+    while (degree < k) {
+      if (next_visit == fp.visits.size()) {
+        if (fp.exhausted) break;
+        if (!live) {
+          // The record ends short of degree k: re-run the search from the
+          // source. Its first visits re-settle bit-identically to the ones
+          // this window already scanned, so they are re-recorded, not
+          // re-scanned. A replay shortfall counts as a rebuild.
+          if (replay) ++local.footprint_rebuilds;
+          fp.visits.clear();
+          search.Start(fp);
+          while (fp.visits.size() < next_visit && search.Settle(fp)) {
+          }
+          FM_CHECK_EQ(fp.visits.size(), next_visit);
+          live = true;
+        }
+        if (!search.Settle(fp)) break;
+      }
+      const SearchVisit visit = fp.visits[next_visit++];
+      ++local.nodes_expanded;
+
+      const auto [row_begin, row_end] = starts.RowsAt(visit.node);
+      for (const std::uint32_t* it = row_begin; it != row_end; ++it) {
+        const std::size_t i = *it;
+        if (degree >= k) break;
+        if (!SatisfiesCapacity(config, batches[i], vehicle)) continue;
+        if (visit.beta > config.max_first_mile) continue;
+        ++local.mcost_evaluations;
+        graph.cost.set(i, j, PairWeight(oracle, config, batches[i], vehicle,
+                                        now, base, &memo));
+        ++degree;
+      }
+    }
+  };
+
+  const int shards = std::max(ShardCount(pool, vehicles.size()), 1);
   cache.EnsureShards(shards);
   std::vector<ShardCounters> counters(static_cast<std::size_t>(shards));
-  std::vector<LocalCacheStats> cache_stats(static_cast<std::size_t>(shards));
-  {
-    ScopedPhaseTimer timer(profile, "graph.delta");
-    ParallelForShards(
-        pool, vehicles.size(),
-        [&](int shard, std::size_t begin, std::size_t end) {
-          ShardCounters& local = counters[static_cast<std::size_t>(shard)];
-          LocalCacheStats& local_stats =
-              cache_stats[static_cast<std::size_t>(shard)];
-          DurationMemo& memo = cache.memo_for_shard(shard);
-          FootprintScratch scratch(net.num_nodes());
-          for (std::size_t j = begin; j < end; ++j) {
-            if (VehicleOutOfRange(prune,
-                                  net.node_position(vehicles[j].location))) {
-              ++local_stats.pruned_vehicles;
-              continue;
-            }
-            RunFootprintSearch(cache, *slots[j], starts, batches, batch_keys,
-                               vehicles[j], j, k, slot, max_beta, gamma,
-                               options.angular, now, memo, scratch, graph,
-                               local, local_stats);
-          }
-        });
-  }
-  for (const ShardCounters& c : counters) {
-    graph.mcost_evaluations += c.mcost_evaluations;
-    graph.nodes_expanded += c.nodes_expanded;
-  }
-  ReduceCacheStats(cache, cache_stats);
+  ParallelForShards(
+      pool, vehicles.size(),
+      [&](int shard, std::size_t begin, std::size_t end) {
+        LiveSearch search(net, slot, max_beta, gamma, options.angular,
+                          config.max_first_mile);
+        DurationMemo& memo = cache.memo_for_shard(shard);
+        ShardCounters& local = counters[static_cast<std::size_t>(shard)];
+        for (std::size_t j = begin; j < end; ++j) {
+          fill_column(j, search, memo, local);
+        }
+      });
+  ReduceCounters(counters, graph, &cache.stats());
   return graph;
 }
 
-// Incremental full construction. Sharded over columns (vehicles) — not the
-// rows the scratch builder shards — so every cache entry stays private to
-// the shard that owns its vehicle; the fill set and counters are identical
-// either way.
+// Incremental full construction: the scratch fill with SP legs served by the
+// shard's DurationMemo. Sharded over columns (vehicles) — not the rows the
+// scratch builder shards — so each vehicle's legs hit one memo and its base
+// cost is a column-local; the fill set and counters are identical either
+// way.
 FoodGraph BuildIncrementalFull(const DistanceOracle& oracle,
                                const Config& config,
                                const std::vector<Batch>& batches,
                                const std::vector<VehicleSnapshot>& vehicles,
-                               Seconds now, ThreadPool* pool, EdgeCache& cache,
-                               PhaseProfile* profile) {
-  const RoadNetwork& net = oracle.network();
+                               Seconds now, ThreadPool* pool,
+                               EdgeCache& cache) {
   FoodGraph graph(batches.size(), vehicles.size(), config.rejection_penalty);
   if (batches.empty() || vehicles.empty()) return graph;
 
-  std::vector<VehicleCacheEntry*> slots;
-  {
-    ScopedPhaseTimer timer(profile, "graph.invalidate");
-    slots = cache.BeginWindow(vehicles);
-  }
-
-  PruneContext prune;
-  std::vector<std::uint64_t> batch_keys(batches.size());
-  {
-    ScopedPhaseTimer timer(profile, "graph.prune");
-    prune = BuildPruneContext(oracle, config, HourSlot(now), {});
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-      batch_keys[i] = BatchContentKey(batches[i]);
-    }
-  }
-
-  const int shards =
-      std::max(ShardCount(pool, vehicles.size()), 1);
+  const int shards = std::max(ShardCount(pool, vehicles.size()), 1);
   cache.EnsureShards(shards);
   std::vector<ShardCounters> counters(static_cast<std::size_t>(shards));
-  std::vector<LocalCacheStats> cache_stats(static_cast<std::size_t>(shards));
-  {
-    ScopedPhaseTimer timer(profile, "graph.delta");
-    ParallelForShards(
-        pool, vehicles.size(),
-        [&](int shard, std::size_t begin, std::size_t end) {
-          ShardCounters& local = counters[static_cast<std::size_t>(shard)];
-          LocalCacheStats& local_stats =
-              cache_stats[static_cast<std::size_t>(shard)];
-          DurationMemo& memo = cache.memo_for_shard(shard);
-          for (std::size_t j = begin; j < end; ++j) {
-            const VehicleSnapshot& vehicle = vehicles[j];
-            const LatLon& vehicle_pos = net.node_position(vehicle.location);
-            LazyBase base;
-            for (std::size_t i = 0; i < batches.size(); ++i) {
-              if (batches[i].cost == kInfiniteTime) continue;
-              if (!SatisfiesCapacity(config, batches[i], vehicle)) continue;
-              ++local.mcost_evaluations;
-              if (PairOutOfRange(
-                      prune, vehicle_pos,
-                      net.node_position(batches[i].first_pickup))) {
-                // Provably beyond the first-mile bound: the weight is Ω,
-                // which is the matrix initialization.
-                ++local_stats.pruned_pairs;
-                continue;
-              }
-              graph.cost.set(i, j,
-                             CachedPairWeight(cache, *slots[j], batch_keys[i],
-                                              batches[i], vehicle, now, memo,
-                                              base, local_stats));
-            }
+  ParallelForShards(
+      pool, vehicles.size(),
+      [&](int shard, std::size_t begin, std::size_t end) {
+        ShardCounters& local = counters[static_cast<std::size_t>(shard)];
+        DurationMemo& memo = cache.memo_for_shard(shard);
+        for (std::size_t j = begin; j < end; ++j) {
+          const VehicleSnapshot& vehicle = vehicles[j];
+          LazyBase base;
+          for (std::size_t i = 0; i < batches.size(); ++i) {
+            if (batches[i].cost == kInfiniteTime) continue;
+            if (!SatisfiesCapacity(config, batches[i], vehicle)) continue;
+            ++local.mcost_evaluations;
+            graph.cost.set(i, j, PairWeight(oracle, config, batches[i],
+                                            vehicle, now, base, &memo));
           }
-        });
-  }
-  for (const ShardCounters& c : counters) {
-    graph.mcost_evaluations += c.mcost_evaluations;
-  }
-  ReduceCacheStats(cache, cache_stats);
+        }
+      });
+  ReduceCounters(counters, graph);
   return graph;
 }
 
@@ -660,10 +399,7 @@ FoodGraph BuildFullFoodGraph(const DistanceOracle& oracle,
                              const std::vector<Batch>& batches,
                              const std::vector<VehicleSnapshot>& vehicles,
                              Seconds now, ThreadPool* pool) {
-  const RoadNetwork& net = oracle.network();
   FoodGraph graph(batches.size(), vehicles.size(), config.rejection_penalty);
-  const PruneContext prune =
-      BuildPruneContext(oracle, config, HourSlot(now), {});
   std::vector<ShardCounters> counters(
       static_cast<std::size_t>(std::max(ShardCount(pool, batches.size()), 1)));
   // Rows are sharded: batch i's row is written only by the shard owning i.
@@ -675,25 +411,16 @@ FoodGraph BuildFullFoodGraph(const DistanceOracle& oracle,
         std::unordered_map<std::size_t, LazyBase> bases;
         for (std::size_t i = begin; i < end; ++i) {
           if (batches[i].cost == kInfiniteTime) continue;  // unroutable batch
-          const LatLon& start_pos =
-              net.node_position(batches[i].first_pickup);
           for (std::size_t j = 0; j < vehicles.size(); ++j) {
             if (!SatisfiesCapacity(config, batches[i], vehicles[j])) continue;
             ++local.mcost_evaluations;
-            if (PairOutOfRange(prune,
-                               net.node_position(vehicles[j].location),
-                               start_pos)) {
-              continue;  // provably Ω — the matrix initialization
-            }
             graph.cost.set(i, j,
-                           ScratchPairWeight(oracle, config, batches[i],
-                                             vehicles[j], now, bases[j]));
+                           PairWeight(oracle, config, batches[i], vehicles[j],
+                                      now, bases[j], nullptr));
           }
         }
       });
-  for (const ShardCounters& c : counters) {
-    graph.mcost_evaluations += c.mcost_evaluations;
-  }
+  ReduceCounters(counters, graph);
   return graph;
 }
 
@@ -717,8 +444,6 @@ FoodGraph BuildSparsifiedFoodGraph(const DistanceOracle& oracle,
   const int slot = HourSlot(now);
   const Seconds max_beta = net.MaxEdgeTime(slot);
   const double gamma = options.angular ? config.gamma : 1.0;
-  const PruneContext prune =
-      BuildPruneContext(oracle, config, slot, starts.nodes);
 
   // Per-vehicle best-first search (Alg. 2 lines 2–20). Vehicle j's search is
   // independent of every other vehicle and writes only column j, so vehicles
@@ -765,8 +490,8 @@ FoodGraph BuildSparsifiedFoodGraph(const DistanceOracle& oracle,
         if (beta_dist[u] > config.max_first_mile) continue;
         ++local.mcost_evaluations;
         graph.cost.set(i, j,
-                       ScratchPairWeight(oracle, config, batches[i], vehicle,
-                                         now, base));
+                       PairWeight(oracle, config, batches[i], vehicle, now,
+                                  base, nullptr));
         ++degree;
       }
 
@@ -803,18 +528,10 @@ FoodGraph BuildSparsifiedFoodGraph(const DistanceOracle& oracle,
                       ShardCounters& local =
                           counters[static_cast<std::size_t>(shard)];
                       for (std::size_t j = begin; j < end; ++j) {
-                        if (VehicleOutOfRange(
-                                prune,
-                                net.node_position(vehicles[j].location))) {
-                          continue;  // whole column provably Ω
-                        }
                         search_vehicle(j, scratch, local);
                       }
                     });
-  for (const ShardCounters& c : counters) {
-    graph.mcost_evaluations += c.mcost_evaluations;
-    graph.nodes_expanded += c.nodes_expanded;
-  }
+  ReduceCounters(counters, graph);
   return graph;
 }
 
@@ -822,30 +539,20 @@ FoodGraph BuildFoodGraph(const DistanceOracle& oracle, const Config& config,
                          const FoodGraphOptions& options,
                          const std::vector<Batch>& batches,
                          const std::vector<VehicleSnapshot>& vehicles,
-                         Seconds now, ThreadPool* pool) {
+                         Seconds now, ThreadPool* pool, EdgeCache* cache) {
+  if (cache != nullptr) {
+    if (options.best_first) {
+      return BuildIncrementalSparsified(oracle, config, options, batches,
+                                        vehicles, now, pool, *cache);
+    }
+    return BuildIncrementalFull(oracle, config, batches, vehicles, now, pool,
+                                *cache);
+  }
   if (options.best_first) {
     return BuildSparsifiedFoodGraph(oracle, config, options, batches, vehicles,
                                     now, pool);
   }
   return BuildFullFoodGraph(oracle, config, batches, vehicles, now, pool);
-}
-
-FoodGraph BuildFoodGraph(const DistanceOracle& oracle, const Config& config,
-                         const FoodGraphOptions& options,
-                         const std::vector<Batch>& batches,
-                         const std::vector<VehicleSnapshot>& vehicles,
-                         Seconds now, ThreadPool* pool, EdgeCache* cache,
-                         PhaseProfile* profile) {
-  if (cache == nullptr) {
-    return BuildFoodGraph(oracle, config, options, batches, vehicles, now,
-                          pool);
-  }
-  if (options.best_first) {
-    return BuildIncrementalSparsified(oracle, config, options, batches,
-                                      vehicles, now, pool, *cache, profile);
-  }
-  return BuildIncrementalFull(oracle, config, batches, vehicles, now, pool,
-                              *cache, profile);
 }
 
 }  // namespace fm

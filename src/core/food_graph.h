@@ -23,13 +23,11 @@
 // reduced in fixed shard order, so the resulting FoodGraph is bit-identical
 // for 1 vs N threads.
 //
-// A third, incremental construction (the 9-argument BuildFoodGraph overload)
-// maintains the graph across windows through an EdgeCache: recorded search
-// footprints are replayed instead of re-run, provably unchanged pair weights
-// are reused, and a geodesic reachability radius prunes vehicles that cannot
-// hold any true edge. It produces a FoodGraph bit-identical to the
-// from-scratch builders — same weights, same mcost_evaluations, same
-// nodes_expanded — for any thread count (enforced by
+// With an EdgeCache, BuildFoodGraph maintains the graph incrementally
+// across windows: recorded best-first search footprints are replayed instead
+// of re-run, and SP legs are served by per-shard duration memos. It produces
+// a FoodGraph bit-identical to the from-scratch builders — same weights, same
+// mcost_evaluations, same nodes_expanded — for any thread count (enforced by
 // tests/food_graph_incremental_test.cc and bench_incremental_graph).
 #ifndef FOODMATCH_CORE_FOOD_GRAPH_H_
 #define FOODMATCH_CORE_FOOD_GRAPH_H_
@@ -46,8 +44,7 @@
 
 namespace fm {
 
-class EdgeCache;     // core/edge_cache.h
-class PhaseProfile;  // common/profiler.h
+class EdgeCache;  // core/edge_cache.h
 
 struct FoodGraphOptions {
   // Use the best-first sparsified construction (Alg. 2) instead of the full
@@ -109,39 +106,25 @@ FoodGraph BuildSparsifiedFoodGraph(const DistanceOracle& oracle,
                                    const std::vector<VehicleSnapshot>& vehicles,
                                    Seconds now, ThreadPool* pool = nullptr);
 
-/// Dispatches on options.best_first.
-FoodGraph BuildFoodGraph(const DistanceOracle& oracle, const Config& config,
-                         const FoodGraphOptions& options,
-                         const std::vector<Batch>& batches,
-                         const std::vector<VehicleSnapshot>& vehicles,
-                         Seconds now, ThreadPool* pool = nullptr);
-
-/// \brief Incremental construction: dispatches on options.best_first and
-/// maintains `cache` across calls.
+/// \brief Dispatches on options.best_first; with a non-null `cache`, builds
+/// incrementally and maintains `cache` across calls.
 ///
-/// With cache == nullptr this is exactly the from-scratch dispatcher above.
-/// Otherwise the build reconciles the cache against this window's snapshots
-/// (dropping state for vehicles whose content changed), then fills the
-/// matrix by replaying recorded search footprints, reusing provably valid
-/// pair weights and memoized SP legs, and skipping vehicles outside the
-/// geodesic reachability radius of every candidate first-pickup node.
+/// The incremental build reconciles the cache against this window's
+/// snapshots, then fills the matrix by replaying recorded search footprints
+/// (re-running a search whose footprint is stale or too short) and serving SP
+/// legs from per-shard duration memos.
 ///
 /// The result is bit-identical to the from-scratch builders (weights,
 /// mcost_evaluations, nodes_expanded) for any thread count. Requirements:
 /// one cache per (oracle, config, options) policy instance — footprint
 /// validity assumes γ, the angular flag and the first-mile bound never
 /// change between calls on the same cache.
-///
-/// When `profile` is non-null, records the leaf phases `graph.invalidate`
-/// (cache reconciliation), `graph.prune` (start index + radius setup) and
-/// `graph.delta` (the sharded fill); callers then skip the aggregate
-/// `graph.build` phase to avoid double counting.
 FoodGraph BuildFoodGraph(const DistanceOracle& oracle, const Config& config,
                          const FoodGraphOptions& options,
                          const std::vector<Batch>& batches,
                          const std::vector<VehicleSnapshot>& vehicles,
-                         Seconds now, ThreadPool* pool, EdgeCache* cache,
-                         PhaseProfile* profile);
+                         Seconds now, ThreadPool* pool = nullptr,
+                         EdgeCache* cache = nullptr);
 
 }  // namespace fm
 

@@ -71,11 +71,8 @@ class MatchingPolicy : public AssignmentPolicy {
                             const std::vector<VehicleSnapshot>& vehicles,
                             Seconds now) override;
 
-  // Eager invalidation channel for the incremental FOODGRAPH cache; no-ops
-  // when Config::incremental_graph is off.
-  void OnVehicleChanged(VehicleId vehicle) override {
-    if (cache_ != nullptr) cache_->OnVehicleChanged(vehicle);
-  }
+  // Frees the vehicle's incremental FOODGRAPH state; a no-op when
+  // Config::incremental_graph is off.
   void OnVehicleRetired(VehicleId vehicle) override {
     if (cache_ != nullptr) cache_->OnVehicleRetired(vehicle);
   }

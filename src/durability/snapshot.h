@@ -6,7 +6,7 @@
 // records already applied — so recovery (durability/recovery.h) loads the
 // latest snapshot and replays only the log suffix behind it. Derived state
 // is deliberately absent: the vehicle index is rebuilt on restore and
-// policy caches (EdgeCache epoch counters and memos) start cold, which is
+// policy caches (EdgeCache footprints and memos) start cold, which is
 // bit-neutral by the incremental-graph equivalence contract.
 //
 // On-disk layout of snap-<shard>-<windows>.snap (little-endian):

@@ -56,11 +56,10 @@ struct Config {
   // core/intake_stage.h).
   bool intake_prestage = true;
   // Maintain the FOODGRAPH incrementally across windows (core/edge_cache.h):
-  // reuse per-(vehicle, batch) edge evaluations whose inputs provably did
-  // not change, geo-prune unreachable vehicles, and memoize SP legs. Results
-  // are bit-identical with the from-scratch build (enforced by
-  // food_graph_incremental_test and bench_incremental_graph); this knob is
-  // the escape hatch (`--no-incremental` in fmsim/fmserve).
+  // replay each vehicle's recorded best-first search footprint and memoize
+  // SP legs per shard. Results are bit-identical with the from-scratch build
+  // (enforced by food_graph_incremental_test and bench_incremental_graph);
+  // this knob is the escape hatch (`--no-incremental` in fmsim/fmserve).
   bool incremental_graph = true;
   // With durability enabled (a WAL directory configured — see
   // durability/recovery.h), write an engine-state snapshot every this many

@@ -223,7 +223,7 @@ Seconds BaseRouteCost(const DistanceOracle& oracle, const VehicleSnapshot& v,
 Seconds MarginalCostWithBase(const DistanceOracle& oracle,
                              const VehicleSnapshot& v, Seconds now,
                              const std::vector<Order>& extra, Seconds base_cost,
-                             DurationMemo* memo, MarginalCostDetail* detail) {
+                             DurationMemo* memo) {
   if (base_cost == kInfiniteTime) return kInfiniteTime;
 
   PlanRequest with;
@@ -235,26 +235,6 @@ Seconds MarginalCostWithBase(const DistanceOracle& oracle,
   const PlanResult after = PlanOptimalRoute(oracle, with, memo);
   if (!after.feasible) return kInfiniteTime;
 
-  if (detail != nullptr && !after.plan.stops.empty()) {
-    const Stop& first = after.plan.stops.front();
-    if (first.type == StopType::kPickup) {
-      const Order* order = nullptr;
-      for (const Order& o : extra) {
-        if (o.id == first.order) { order = &o; break; }
-      }
-      if (order == nullptr) {
-        for (const Order& o : v.unpicked) {
-          if (o.id == first.order) { order = &o; break; }
-        }
-      }
-      if (order != nullptr) {
-        detail->first_leg = after.arrival_times.front() - now;
-        detail->first_ready = order->ready_at();
-        detail->ready_anchored =
-            after.arrival_times.front() <= detail->first_ready;
-      }
-    }
-  }
   return after.cost - base_cost;
 }
 

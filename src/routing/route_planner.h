@@ -83,30 +83,13 @@ Seconds MarginalCost(const DistanceOracle& oracle, const VehicleSnapshot& v,
 Seconds BaseRouteCost(const DistanceOracle& oracle, const VehicleSnapshot& v,
                       Seconds now, DurationMemo* memo = nullptr);
 
-// Facts about the combined (after) plan that let a cache decide whether the
-// recorded mCost is provably valid at a later decision time (see
-// core/edge_cache.h for the validity rules).
-struct MarginalCostDetail {
-  // True when the after-plan's first stop is a pickup whose departure was
-  // bound by food readiness (arrival ≤ ready_at): the plan's downstream
-  // timeline is then anchored to absolute ready times, not to `now`.
-  bool ready_anchored = false;
-  // SP(v.location, first stop, now): the only leg of an anchored plan whose
-  // query time depends on `now`.
-  Seconds first_leg = 0.0;
-  // ready_at() of the first stop's order (0 when not anchored).
-  Seconds first_ready = 0.0;
-};
-
 // MarginalCost with a precomputed base cost (from BaseRouteCost). Passing
 // base_cost == kInfiniteTime short-circuits to kInfiniteTime exactly like
-// an infeasible before-plan. Fills `detail` (when non-null and the combined
-// plan is feasible) for cache-validity decisions.
+// an infeasible before-plan.
 Seconds MarginalCostWithBase(const DistanceOracle& oracle,
                              const VehicleSnapshot& v, Seconds now,
                              const std::vector<Order>& extra, Seconds base_cost,
-                             DurationMemo* memo = nullptr,
-                             MarginalCostDetail* detail = nullptr);
+                             DurationMemo* memo = nullptr);
 
 }  // namespace fm
 

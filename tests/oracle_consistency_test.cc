@@ -1,12 +1,10 @@
-// Cross-index consistency: the three exact shortest-path engines (Dijkstra,
-// hub labels, contraction hierarchies) must agree pairwise on every slot of
-// a generated city, and the planner stack must produce identical decisions
-// on top of any of them.
+// Cross-index consistency: the two exact shortest-path engines (Dijkstra,
+// hub labels) must agree on every slot of a generated city, and the planner
+// stack must produce identical decisions on top of either of them.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "gen/city_gen.h"
-#include "graph/contraction_hierarchy.h"
 #include "graph/dijkstra.h"
 #include "graph/distance_oracle.h"
 #include "graph/hub_labels.h"
@@ -33,14 +31,12 @@ class OracleConsistencyTest : public ::testing::TestWithParam<int> {
 TEST_P(OracleConsistencyTest, AllEnginesAgreeOnSlot) {
   const int slot = GetParam() * 4 + 1;  // slots 1, 5, 9, 13, 17, 21
   HubLabels labels = HubLabels::Build(net_, slot);
-  ContractionHierarchy ch = ContractionHierarchy::Build(net_, slot);
   Rng pick(600 + slot);
   for (int trial = 0; trial < 50; ++trial) {
     const NodeId s = static_cast<NodeId>(pick.UniformInt(net_.num_nodes()));
     const NodeId t = static_cast<NodeId>(pick.UniformInt(net_.num_nodes()));
     const Seconds reference = PointToPointTime(net_, s, t, slot);
     EXPECT_NEAR(labels.Query(s, t), reference, 1e-9);
-    EXPECT_NEAR(ch.Query(s, t), reference, 1e-9);
   }
 }
 

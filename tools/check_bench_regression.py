@@ -13,7 +13,11 @@ For every committed BENCH_*.json anchor, the freshly regenerated candidate
     it under a new spelling, fails even though all values moved);
   * reproduce every "fingerprint" field bit-for-bit and every gate flag —
     fingerprints hash deterministic decision output, so a mismatch is a
-    behavior change, not noise.
+    behavior change, not noise;
+  * reproduce every deterministic work counter (EXACT_KEYS) exactly — the
+    EdgeCache footprint counters are pure functions of the event stream,
+    equal for any lane count, so drift means the incremental build started
+    doing different work (e.g. a replay-shortfall restart firing).
 
 Timings, throughputs, and machine blocks are *informational*: wall clocks
 differ across builders by design, so the check prints the relative drift
@@ -42,6 +46,9 @@ TIMING_SUFFIXES = (
 )
 # Structural keys that are machine- or build-dependent: type-checked only.
 INFORMATIONAL_KEYS = {"machine", "hardware_threads", "context", "date"}
+# Scalar leaves that must equal the anchor exactly, like fingerprints.
+EXACT_KEYS = {"schema", "bench", "fingerprint", "footprint_replays",
+              "footprint_rebuilds"}
 
 
 def json_type(value):
@@ -93,7 +100,7 @@ class Comparator:
                 self.compare(a_value, c_value, f"{path}[{i}]")
         else:
             key = path.rsplit(".", 1)[-1].split("[", 1)[0]
-            if key == "schema" or key == "bench" or key == "fingerprint":
+            if key in EXACT_KEYS:
                 if anchor != candidate:
                     self.error(path, f"must match anchor: {anchor!r} -> "
                                      f"{candidate!r}")
