@@ -1,11 +1,11 @@
 // Measures the incremental FOODGRAPH maintenance (core/edge_cache.h) against
 // the from-scratch build it replaces, and hard-gates its bit-identity.
 //
-// BENCH_profile.json pins `graph.build` at ~88–92% of FoodMatch/KM decision
-// time; the EdgeCache attacks exactly that share by replaying recorded
-// best-first search footprints and serving SP legs from per-shard duration
-// memos. This bench runs each city/policy twice — incremental off, then
-// on — and
+// Built from scratch, `graph.build` is ~85–93% of FoodMatch/KM decision time
+// (this bench's scratch rows); the EdgeCache attacks exactly that share by
+// replaying recorded best-first search footprints and serving SP legs from
+// per-shard duration memos. This bench runs each city/policy twice —
+// incremental off, then on — and
 //
 //   1. FAILS (exit 1) unless the two SimulationResults are bit-identical,
 //      and again unless the 4-lane incremental run matches the 1-lane one —
@@ -13,8 +13,9 @@
 //   2. reports the graph-phase share before/after plus the cache's replay
 //      and memo counters, written to BENCH_incremental.json (--out=PATH) so
 //      CI archives the trajectory of the graph share next to
-//      BENCH_profile.json. `footprint_replays` / `footprint_rebuilds` are
-//      pure functions of the event stream (equal for 1 and 4 lanes), and
+//      BENCH_profile.json. `footprint_replays` / `footprint_rebuilds` and
+//      the builds' `nodes_expanded` / `mcost_evaluations` are pure functions
+//      of the event stream (equal for 1 and 4 lanes), and
 //      tools/check_bench_regression.py holds them to the anchor exactly.
 //
 // Comparability with BENCH_profile.json: the runs use the same 11h–14h
@@ -177,13 +178,17 @@ bool WriteReport(const std::string& path,
           "        \"footprint_rebuilds\": %llu,\n"
           "        \"retirements\": %llu,\n"
           "        \"duration_memo_hits\": %llu,\n"
-          "        \"duration_memo_misses\": %llu\n"
+          "        \"duration_memo_misses\": %llu,\n"
+          "        \"nodes_expanded\": %llu,\n"
+          "        \"mcost_evaluations\": %llu\n"
           "      }",
           static_cast<unsigned long long>(c.footprint_replays),
           static_cast<unsigned long long>(c.footprint_rebuilds),
           static_cast<unsigned long long>(c.retirements),
           static_cast<unsigned long long>(c.duration_memo_hits),
-          static_cast<unsigned long long>(c.duration_memo_misses));
+          static_cast<unsigned long long>(c.duration_memo_misses),
+          static_cast<unsigned long long>(c.nodes_expanded),
+          static_cast<unsigned long long>(c.mcost_evaluations));
     }
     entry += "\n    }";
     doc.AddEntry(std::move(entry));

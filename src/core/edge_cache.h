@@ -1,9 +1,10 @@
 // Cross-window FOODGRAPH edge cache (the incremental maintenance layer).
 //
-// BENCH_profile.json puts `graph.build` at ~88–92% of FoodMatch decision
-// time because every window re-runs Alg. 2's best-first search and every
-// insertion-cost SP query from scratch. The EdgeCache makes the build
-// incremental along two axes:
+// Built from scratch, `graph.build` is ~91–93% of FoodMatch decision time
+// (BENCH_incremental.json's scratch rows) because every window re-runs
+// Alg. 2's best-first search and every insertion-cost SP query. Through
+// the cache it is still ~75–80% (BENCH_profile.json, one lane). The
+// EdgeCache makes the build incremental along two axes:
 //
 //   1. Search footprints — the best-first discovery order of Alg. 2 for one
 //      vehicle depends only on (source, next-destination, hour slot): the
@@ -54,6 +55,11 @@ struct EdgeCacheStats {
   std::uint64_t footprint_rebuilds = 0;   // search (re)started at the source
   std::uint64_t duration_memo_hits = 0;
   std::uint64_t duration_memo_misses = 0;
+  // The builds' work counts (FoodGraph::nodes_expanded / mcost_evaluations
+  // summed over every incremental build): deterministic, so benches can
+  // gate them exactly.
+  std::uint64_t nodes_expanded = 0;
+  std::uint64_t mcost_evaluations = 0;
 };
 
 // One settled node of a recorded best-first search, in visit order. `beta`

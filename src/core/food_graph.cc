@@ -154,6 +154,8 @@ void ReduceCounters(const std::vector<ShardCounters>& counters,
     graph.mcost_evaluations += c.mcost_evaluations;
     graph.nodes_expanded += c.nodes_expanded;
     if (stats != nullptr) {
+      stats->nodes_expanded += c.nodes_expanded;
+      stats->mcost_evaluations += c.mcost_evaluations;
       stats->footprint_replays += c.footprint_replays;
       stats->footprint_rebuilds += c.footprint_rebuilds;
     }
@@ -167,11 +169,22 @@ void ReduceCounters(const std::vector<ShardCounters>& counters,
 // A live best-first search (the loop of Alg. 2) that settles nodes into a
 // SearchFootprint one at a time. Allocated once per shard per build; stamps
 // make reuse across vehicles O(touched) instead of the O(|V|) fills the
-// from-scratch search pays per vehicle. The heap ops mirror
-// std::priority_queue's push/pop exactly, so the settle order is
-// bit-identical to the from-scratch search.
+// from-scratch search pays per vehicle.
+//
+// It settles the same nodes, with the same labels, in the same order as the
+// from-scratch search, with less arithmetic. The angular term of Eq. 8
+// depends only on an edge's head, so each node's is evaluated once, when
+// the node is first labelled. The frontier is an indexed 4-ary heap that
+// holds each labelled, unsettled node once, keyed (α, node): a strict total
+// order. The from-scratch search's lazy-deletion queue pops the least
+// (d, node) after skipping settled nodes, and a node's superseded entries
+// all carry a larger d than its current label, so both pop the same node.
 struct LiveSearch {
-  using QueueEntry = std::pair<double, NodeId>;  // (α-distance, node)
+  static constexpr std::size_t kArity = 4;
+  struct HeapEntry {
+    double alpha;  // the node's current α label
+    NodeId node;
+  };
 
   const RoadNetwork& net;
   const int slot;
@@ -181,20 +194,24 @@ struct LiveSearch {
   const Seconds max_first_mile;
   const LatLon* source_pos = nullptr;
   const LatLon* dest_pos = nullptr;
+  double theta_dest = 0.0;  // Θ(source, dest)
   std::uint64_t stamp = 0;
-  std::vector<std::uint64_t> label_stamp;  // == stamp: alpha/beta valid
+  // == stamp: beta, heading and (until settled) heap_pos are valid.
+  std::vector<std::uint64_t> label_stamp;
   std::vector<std::uint64_t> visit_stamp;  // == stamp: node settled
-  std::vector<double> alpha;
   std::vector<Seconds> beta;
-  std::vector<QueueEntry> queue;  // binary heap under std::greater
+  std::vector<double> heading;  // AngularDistance(source, dest, node)
+  std::vector<std::uint32_t> heap_pos;
+  std::vector<HeapEntry> heap;
 
   LiveSearch(const RoadNetwork& network, int hour_slot, Seconds max_edge_beta,
              double search_gamma, bool use_angular, Seconds first_mile_bound)
       : net(network), slot(hour_slot), max_beta(max_edge_beta),
         gamma(search_gamma), angular(use_angular),
         max_first_mile(first_mile_bound), label_stamp(network.num_nodes(), 0),
-        visit_stamp(network.num_nodes(), 0), alpha(network.num_nodes()),
-        beta(network.num_nodes()) {}
+        visit_stamp(network.num_nodes(), 0), beta(network.num_nodes()),
+        heading(use_angular ? network.num_nodes() : 0),
+        heap_pos(network.num_nodes()) {}
 
   // Seeds the search exactly like the from-scratch one: `fp`'s source
   // labelled at α = 0, β = 0, alone on the frontier.
@@ -202,49 +219,95 @@ struct LiveSearch {
     ++stamp;
     source_pos = &net.node_position(fp.source);
     dest_pos = &net.node_position(fp.dest);
+    theta_dest = Bearing(*source_pos, *dest_pos);
     label_stamp[fp.source] = stamp;
-    alpha[fp.source] = 0.0;
     beta[fp.source] = 0.0;
-    queue.assign(1, {0.0, fp.source});
+    heap.assign(1, {0.0, fp.source});
+    heap_pos[fp.source] = 0;
   }
 
   // Settles the next node and appends it to `fp.visits`; once the frontier
   // drains, marks `fp` exhausted and returns false.
   bool Settle(SearchFootprint& fp) {
-    const auto greater = std::greater<QueueEntry>{};
-    while (!queue.empty()) {
-      const auto [d, u] = queue.front();
-      std::pop_heap(queue.begin(), queue.end(), greater);
-      queue.pop_back();
-      if (visit_stamp[u] == stamp) continue;  // lazy-deletion duplicate
-      visit_stamp[u] = stamp;
-      const Seconds ubeta = beta[u];
-      fp.visits.push_back({u, ubeta});
-
-      for (EdgeId e : net.OutEdges(u)) {
-        const NodeId v = net.edge_head(e);
-        if (visit_stamp[v] == stamp) continue;
-        const Seconds edge_beta = net.EdgeTime(e, slot);
-        const Seconds nbeta = ubeta + edge_beta;
-        if (nbeta > max_first_mile) continue;
-        double edge_alpha = gamma * edge_beta / max_beta;
-        if (angular) {
-          edge_alpha += (1.0 - gamma) * AngularDistance(*source_pos, *dest_pos,
-                                                        net.node_position(v));
-        }
-        const double nd = d + edge_alpha;
-        if (label_stamp[v] != stamp || nd < alpha[v]) {
-          label_stamp[v] = stamp;
-          alpha[v] = nd;
-          beta[v] = nbeta;
-          queue.push_back({nd, v});
-          std::push_heap(queue.begin(), queue.end(), greater);
-        }
-      }
-      return true;
+    if (heap.empty()) {
+      fp.exhausted = true;
+      return false;
     }
-    fp.exhausted = true;
-    return false;
+    const auto [d, u] = heap.front();
+    heap.front() = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) SiftDown(0);
+    visit_stamp[u] = stamp;
+    const Seconds ubeta = beta[u];
+    fp.visits.push_back({u, ubeta});
+
+    for (EdgeId e : net.OutEdges(u)) {
+      const NodeId v = net.edge_head(e);
+      if (visit_stamp[v] == stamp) continue;
+      const Seconds edge_beta = net.EdgeTime(e, slot);
+      const Seconds nbeta = ubeta + edge_beta;
+      if (nbeta > max_first_mile) continue;
+      const bool labelled = label_stamp[v] == stamp;
+      if (angular && !labelled) {
+        heading[v] = AngularDistanceWithBearing(*source_pos, *dest_pos,
+                                                theta_dest,
+                                                net.node_position(v));
+      }
+      double edge_alpha = gamma * edge_beta / max_beta;
+      if (angular) edge_alpha += (1.0 - gamma) * heading[v];
+      const double nd = d + edge_alpha;
+      if (!labelled) {
+        label_stamp[v] = stamp;
+        beta[v] = nbeta;
+        heap.push_back({nd, v});
+        SiftUp(heap.size() - 1);
+      } else if (nd < heap[heap_pos[v]].alpha) {
+        beta[v] = nbeta;
+        heap[heap_pos[v]].alpha = nd;
+        SiftUp(heap_pos[v]);
+      }
+    }
+    return true;
+  }
+
+ private:
+  // std::pair's operator< on (α, node).
+  static bool Before(const HeapEntry& a, const HeapEntry& b) {
+    return a.alpha < b.alpha || (!(b.alpha < a.alpha) && a.node < b.node);
+  }
+
+  void Place(std::size_t i, const HeapEntry& entry) {
+    heap[i] = entry;
+    heap_pos[entry.node] = static_cast<std::uint32_t>(i);
+  }
+
+  void SiftUp(std::size_t i) {
+    const HeapEntry entry = heap[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!Before(entry, heap[parent])) break;
+      Place(i, heap[parent]);
+      i = parent;
+    }
+    Place(i, entry);
+  }
+
+  void SiftDown(std::size_t i) {
+    const HeapEntry entry = heap[i];
+    const std::size_t n = heap.size();
+    while (true) {
+      const std::size_t first = kArity * i + 1;
+      if (first >= n) break;
+      const std::size_t last = std::min(first + kArity, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < last; ++c) {
+        if (Before(heap[c], heap[best])) best = c;
+      }
+      if (!Before(heap[best], entry)) break;
+      Place(i, heap[best]);
+      i = best;
+    }
+    Place(i, entry);
   }
 };
 
@@ -379,7 +442,7 @@ FoodGraph BuildIncrementalFull(const DistanceOracle& oracle,
           }
         }
       });
-  ReduceCounters(counters, graph);
+  ReduceCounters(counters, graph, &cache.stats());
   return graph;
 }
 

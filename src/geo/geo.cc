@@ -31,12 +31,17 @@ double Bearing(const LatLon& s, const LatLon& t) {
   return theta;
 }
 
-double AngularDistance(const LatLon& source, const LatLon& dest,
-                       const LatLon& candidate) {
+double AngularDistanceWithBearing(const LatLon& source, const LatLon& dest,
+                                  double theta_dest, const LatLon& candidate) {
   if (source == dest || source == candidate) return 0.0;
-  const double theta_dest = Bearing(source, dest);
   const double theta_candidate = Bearing(source, candidate);
   return (1.0 - std::cos(theta_dest - theta_candidate)) / 2.0;
+}
+
+double AngularDistance(const LatLon& source, const LatLon& dest,
+                       const LatLon& candidate) {
+  return AngularDistanceWithBearing(source, dest, Bearing(source, dest),
+                                    candidate);
 }
 
 }  // namespace fm

@@ -37,6 +37,13 @@ double Bearing(const LatLon& s, const LatLon& t);
 double AngularDistance(const LatLon& source, const LatLon& dest,
                        const LatLon& candidate);
 
+// AngularDistance with Θ(source, dest) supplied by the caller, which must pass
+// exactly Bearing(source, dest). Bit-identical to AngularDistance (which
+// calls it); a search that scores many candidates against one heading pays
+// for Θ(source, dest) once.
+double AngularDistanceWithBearing(const LatLon& source, const LatLon& dest,
+                                  double theta_dest, const LatLon& candidate);
+
 // Degrees → radians.
 double DegToRad(double degrees);
 

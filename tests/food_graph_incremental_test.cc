@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,24 +89,77 @@ RoadNetwork WithOffshoreNode(const RoadNetwork& city) {
   return builder.Build();
 }
 
+// A w×h grid of bidirectional edges: node r·w + c sits at
+// (12.9 + 0.004 r, 77.5 + 0.004 c). Every edge takes 60 s unless `rng` is
+// given, which draws each edge's constant time from [10, 200]. With `twins`,
+// a second grid at the same positions follows (node i + w·h sits at node
+// i's exact LatLon), with its own edge times and joined to the first grid
+// node by node — so a search reaches half the city through the source's
+// twin.
+RoadNetwork GridNetwork(int w, int h, Rng* rng, bool twins) {
+  RoadNetwork::Builder builder;
+  const int n = w * h;
+  const int copies = twins ? 2 : 1;
+  for (int copy = 0; copy < copies; ++copy) {
+    for (int i = 0; i < n; ++i) {
+      builder.AddNode({12.9 + 0.004 * (i / w), 77.5 + 0.004 * (i % w)});
+    }
+  }
+  const auto link = [&](int a, int b) {
+    const Seconds t = rng != nullptr ? rng->UniformRange(10.0, 200.0) : 60.0;
+    builder.AddEdgeConstant(a, b, 400.0, t);
+    builder.AddEdgeConstant(b, a, 400.0, t);
+  };
+  for (int copy = 0; copy < copies; ++copy) {
+    for (int i = 0; i < n; ++i) {
+      if (i % w + 1 < w) link(copy * n + i, copy * n + i + 1);
+      if (i + w < n) link(copy * n + i, copy * n + i + w);
+    }
+  }
+  if (twins) {
+    for (int i = 0; i < n; ++i) link(i, i + n);
+  }
+  return builder.Build();
+}
+
+// What a differential scenario varies besides its seed.
+struct ScenarioShape {
+  std::function<RoadNetwork(Rng&)> city;
+  bool best_first = true;
+  bool angular = true;
+  int fixed_k = 5;
+  // When set, every window re-aims random vehicles at their own node or at
+  // its twin (another node at the same LatLon), so the angular term's
+  // source == dest and source == candidate branches fire.
+  std::function<NodeId(NodeId)> twin;
+};
+
+ScenarioShape RandomCityShape(bool time_varying, bool best_first) {
+  ScenarioShape shape;
+  shape.city = [time_varying](Rng& rng) {
+    return testing::RandomConnectedNetwork(rng, 60, 140, time_varying);
+  };
+  shape.best_first = best_first;
+  shape.angular = best_first;
+  return shape;
+}
+
 // Drives `windows` accumulation windows over one persistent fleet: each
 // window mutates random vehicles (movement, pickups, deliveries, strips,
 // retirement + id reuse), draws a fresh batch set, and builds the FOODGRAPH
 // three ways — incremental serial, incremental 4-lane, from-scratch — which
 // must agree bitwise. One extra vehicle sits on the offshore node throughout.
-void RunDifferentialScenario(std::uint64_t seed, bool time_varying,
-                             bool best_first) {
+void RunDifferentialScenario(std::uint64_t seed, const ScenarioShape& shape) {
   Rng rng(seed);
-  const RoadNetwork net = WithOffshoreNode(
-      testing::RandomConnectedNetwork(rng, 60, 140, time_varying));
+  const RoadNetwork net = WithOffshoreNode(shape.city(rng));
   const NodeId offshore = static_cast<NodeId>(net.num_nodes() - 1);
   DistanceOracle oracle(&net, OracleBackend::kDijkstra);
   Config config;
   config.threads = 1;
   FoodGraphOptions options;
-  options.best_first = best_first;
-  options.angular = best_first;
-  options.fixed_k = 5;
+  options.best_first = shape.best_first;
+  options.angular = shape.angular;
+  options.fixed_k = shape.fixed_k;
 
   // Two independent caches so serial and 4-lane incremental paths evolve
   // their own state; determinism requires them to stay identical anyway.
@@ -170,6 +224,21 @@ void RunDifferentialScenario(std::uint64_t seed, bool time_varying,
       vehicles[victim] = MakeVehicle(new_id, rand_node(), rand_node());
     }
 
+    if (shape.twin) {
+      for (VehicleSnapshot& v : vehicles) {
+        switch (rng.UniformInt(3)) {
+          case 0:  // parked: same node
+            v.next_destination = v.location;
+            break;
+          case 1:  // parked by position only: another node, same LatLon
+            v.next_destination = shape.twin(v.location);
+            break;
+          default:
+            break;
+        }
+      }
+    }
+
     // Fresh batch set: singletons plus an occasional multi-order batch.
     std::vector<Batch> batches;
     const int num_batches = 6 + static_cast<int>(rng.UniformInt(6));
@@ -210,15 +279,86 @@ void RunDifferentialScenario(std::uint64_t seed, bool time_varying,
 TEST(FoodGraphIncrementalTest, SparsifiedMatchesScratchOnRandomWindows) {
   for (std::uint64_t seed : {11ull, 12ull, 13ull}) {
     for (bool time_varying : {false, true}) {
-      RunDifferentialScenario(seed, time_varying, /*best_first=*/true);
+      RunDifferentialScenario(seed, RandomCityShape(time_varying,
+                                                    /*best_first=*/true));
     }
   }
+}
+
+// Constant 60 s edges with the angular term off: α is the hop count, so
+// every ring around a vehicle is a tie, and with k = 3 the degree cutoff
+// lands inside one. Only the (α, node id) order decides which tied batches
+// get edges.
+TEST(FoodGraphIncrementalTest, SparsifiedMatchesScratchUnderAlphaTies) {
+  ScenarioShape shape;
+  shape.city = [](Rng&) { return GridNetwork(6, 6, nullptr, false); };
+  shape.angular = false;
+  shape.fixed_k = 3;
+  for (std::uint64_t seed : {31ull, 32ull, 33ull}) {
+    RunDifferentialScenario(seed, shape);
+  }
+}
+
+// Every grid node has a twin at its exact LatLon, and vehicles are parked on
+// their own node or its twin: the angular term's zero branches (source ==
+// dest, source == candidate by position) fire throughout.
+TEST(FoodGraphIncrementalTest, SparsifiedMatchesScratchOnDuplicatePositions) {
+  constexpr int kGridNodes = 6 * 6;
+  ScenarioShape shape;
+  shape.city = [](Rng& rng) { return GridNetwork(6, 6, &rng, true); };
+  shape.twin = [](NodeId node) {
+    return static_cast<NodeId>(node < kGridNodes ? node + kGridNodes
+                                                 : node - kGridNodes);
+  };
+  for (std::uint64_t seed : {41ull, 42ull, 43ull}) {
+    RunDifferentialScenario(seed, shape);
+  }
+}
+
+// The cutoff inside a tie, by hand: four batches start on the four
+// neighbours of the vehicle's node (all at α = 1), listed against node-id
+// order, and k = 2. The search settles the two lowest node ids first, so
+// exactly their batches get true edges — on every path.
+TEST(FoodGraphIncrementalTest, TiedCutoffFavoursLowerNodeIds) {
+  const RoadNetwork net = GridNetwork(5, 5, nullptr, false);
+  DistanceOracle oracle(&net, OracleBackend::kDijkstra);
+  Config config;
+  FoodGraphOptions options;
+  options.best_first = true;
+  options.angular = false;
+  options.fixed_k = 2;
+  const Seconds now = 12 * 3600.0;
+  std::vector<Batch> batches;
+  for (NodeId start : {17u, 13u, 11u, 7u}) {  // below, right, left, above 12
+    batches.push_back(MakeSingletonBatch(
+        oracle, MakeOrder(start, start, 0, now), now));
+  }
+  const std::vector<VehicleSnapshot> fleet = {MakeVehicle(0, 12, 12)};
+
+  const FoodGraph scratch =
+      BuildFoodGraph(oracle, config, options, batches, fleet, now);
+  EXPECT_EQ(scratch.nodes_expanded, 3u);  // 12, then 7 and 11
+  EXPECT_EQ(scratch.cost.at(0, 0), config.rejection_penalty);
+  EXPECT_EQ(scratch.cost.at(1, 0), config.rejection_penalty);
+  EXPECT_LT(scratch.cost.at(2, 0), config.rejection_penalty);
+  EXPECT_LT(scratch.cost.at(3, 0), config.rejection_penalty);
+
+  EdgeCache cache_serial;
+  EdgeCache cache_pooled;
+  ThreadPool pool(4);
+  ExpectGraphsEqual(BuildFoodGraph(oracle, config, options, batches, fleet,
+                                   now, nullptr, &cache_serial),
+                    scratch, "tie-serial", 0);
+  ExpectGraphsEqual(BuildFoodGraph(oracle, config, options, batches, fleet,
+                                   now, &pool, &cache_pooled),
+                    scratch, "tie-4lane", 0);
 }
 
 TEST(FoodGraphIncrementalTest, FullGraphMatchesScratchOnRandomWindows) {
   for (std::uint64_t seed : {21ull, 22ull}) {
     for (bool time_varying : {false, true}) {
-      RunDifferentialScenario(seed, time_varying, /*best_first=*/false);
+      RunDifferentialScenario(seed, RandomCityShape(time_varying,
+                                                    /*best_first=*/false));
     }
   }
 }
@@ -393,7 +533,7 @@ TEST_F(EdgeCachePropertyTest, UnchangedWindowIsServedEntirelyFromCache) {
   const auto batches = SomeBatches(1000.0);
   std::vector<VehicleSnapshot> vehicles = {MakeVehicle(0, 0, 0),
                                            MakeVehicle(1, 12, 12)};
-  BuildIncremental(cache, batches, vehicles, 1000.0);
+  const FoodGraph first = BuildIncremental(cache, batches, vehicles, 1000.0);
   EXPECT_EQ(cache.stats().footprint_rebuilds, 2u);
   EXPECT_EQ(cache.stats().footprint_replays, 0u);
 
@@ -406,6 +546,11 @@ TEST_F(EdgeCachePropertyTest, UnchangedWindowIsServedEntirelyFromCache) {
   EXPECT_EQ(after.footprint_rebuilds, 2u);  // the first build's
   EXPECT_EQ(after.duration_memo_misses, before.duration_memo_misses);
   EXPECT_GT(after.duration_memo_hits, before.duration_memo_hits);
+  // The stats sum the builds' own work counts.
+  EXPECT_EQ(after.nodes_expanded,
+            first.nodes_expanded + second.nodes_expanded);
+  EXPECT_EQ(after.mcost_evaluations,
+            first.mcost_evaluations + second.mcost_evaluations);
   const FoodGraph scratch = BuildFoodGraph(oracle_, config_, options_,
                                            batches, vehicles, 1000.0);
   ExpectGraphsEqual(second, scratch, "second-build", 0);

@@ -101,6 +101,31 @@ TEST(AngularDistanceTest, StationaryVehicleHasNoPenalty) {
   EXPECT_DOUBLE_EQ(AngularDistance(s, s, u), 0.0);
 }
 
+// The precomputed-heading form is what the live FOODGRAPH search uses; it
+// must match AngularDistance bit for bit, degenerate branches included.
+TEST(AngularDistanceTest, PrecomputedBearingIsBitIdentical) {
+  const auto expect_same = [](const LatLon& s, const LatLon& d,
+                              const LatLon& u) {
+    EXPECT_EQ(AngularDistanceWithBearing(s, d, Bearing(s, d), u),
+              AngularDistance(s, d, u));
+  };
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    LatLon s{rng.UniformRange(-60, 60), rng.UniformRange(-170, 170)};
+    LatLon d{rng.UniformRange(-60, 60), rng.UniformRange(-170, 170)};
+    LatLon u{rng.UniformRange(-60, 60), rng.UniformRange(-170, 170)};
+    expect_same(s, d, u);
+    // The formula itself, spelled out once here as the reference.
+    EXPECT_EQ(AngularDistance(s, d, u),
+              (1.0 - std::cos(Bearing(s, d) - Bearing(s, u))) / 2.0);
+    expect_same(s, s, u);  // source == dest
+    expect_same(s, d, s);  // source == candidate
+    expect_same(s, s, s);
+    EXPECT_EQ(AngularDistanceWithBearing(s, s, Bearing(s, s), u), 0.0);
+    EXPECT_EQ(AngularDistanceWithBearing(s, d, Bearing(s, d), s), 0.0);
+  }
+}
+
 TEST(DegRadTest, RoundTrip) {
   for (double d : {-180.0, -90.0, 0.0, 45.0, 180.0}) {
     EXPECT_NEAR(RadToDeg(DegToRad(d)), d, 1e-12);

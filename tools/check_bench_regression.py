@@ -15,9 +15,11 @@ For every committed BENCH_*.json anchor, the freshly regenerated candidate
     fingerprints hash deterministic decision output, so a mismatch is a
     behavior change, not noise;
   * reproduce every deterministic work counter (EXACT_KEYS) exactly — the
-    EdgeCache footprint counters are pure functions of the event stream,
-    equal for any lane count, so drift means the incremental build started
-    doing different work (e.g. a replay-shortfall restart firing).
+    EdgeCache footprint counters and the builds' nodes_expanded /
+    mcost_evaluations are pure functions of the event stream, equal for
+    any lane count, so drift means the incremental build started doing
+    different work (e.g. a replay-shortfall restart firing, or the
+    best-first search settling nodes in another order).
 
 Timings, throughputs, and machine blocks are *informational*: wall clocks
 differ across builders by design, so the check prints the relative drift
@@ -48,7 +50,7 @@ TIMING_SUFFIXES = (
 INFORMATIONAL_KEYS = {"machine", "hardware_threads", "context", "date"}
 # Scalar leaves that must equal the anchor exactly, like fingerprints.
 EXACT_KEYS = {"schema", "bench", "fingerprint", "footprint_replays",
-              "footprint_rebuilds"}
+              "footprint_rebuilds", "nodes_expanded", "mcost_evaluations"}
 
 
 def json_type(value):
