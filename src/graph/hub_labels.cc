@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <numeric>
-#include <queue>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 
@@ -12,32 +15,48 @@ namespace fm {
 namespace {
 
 using QueueEntry = std::pair<Seconds, NodeId>;
-using MinQueue = std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                                     std::greater<QueueEntry>>;
 
-struct BuildEntry {
-  std::uint32_t hub_rank;
-  Seconds distance;
+// One node's label while it is built: hub ranks in ascending (construction)
+// order, distances alongside. Split so the prune scan streams 4-byte ranks.
+struct BuildLabel {
+  std::vector<std::uint32_t> ranks;
+  std::vector<Seconds> dists;
 };
 
-// Distance upper bound provable from the labels built so far.
-Seconds LabelQuery(const std::vector<BuildEntry>& out_label,
-                   const std::vector<BuildEntry>& in_label) {
-  Seconds best = kInfiniteTime;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < out_label.size() && j < in_label.size()) {
-    if (out_label[i].hub_rank == in_label[j].hub_rank) {
-      best = std::min(best, out_label[i].distance + in_label[j].distance);
-      ++i;
-      ++j;
-    } else if (out_label[i].hub_rank < in_label[j].hub_rank) {
-      ++i;
-    } else {
-      ++j;
+// One direction's arcs at one slot, CSR by node: (neighbour, travel time)
+// side by side rather than edge ids into the 24-slot time table.
+struct SlotArcs {
+  SlotArcs(const RoadNetwork& net, int slot, bool forward) {
+    offsets.push_back(0);
+    for (NodeId u = 0; u < net.num_nodes(); ++u) {
+      for (EdgeId e : forward ? net.OutEdges(u) : net.InEdges(u)) {
+        arcs.push_back({forward ? net.edge_head(e) : net.edge_tail(e),
+                        net.EdgeTime(e, slot)});
+      }
+      offsets.push_back(arcs.size());
     }
   }
-  return best;
+
+  std::vector<std::size_t> offsets;
+  std::vector<std::pair<NodeId, Seconds>> arcs;
+};
+
+// Concatenates per-node labels into offset-indexed rank and distance
+// arrays, freeing each node's build vectors once copied.
+void Flatten(std::vector<BuildLabel>& labels,
+             std::vector<std::size_t>& offsets,
+             std::vector<std::uint32_t>& ranks, std::vector<Seconds>& dists) {
+  std::size_t total = 0;
+  for (const BuildLabel& label : labels) total += label.ranks.size();
+  ranks.reserve(total);
+  dists.reserve(total);
+  offsets.assign(1, 0);
+  for (BuildLabel& label : labels) {
+    ranks.insert(ranks.end(), label.ranks.begin(), label.ranks.end());
+    dists.insert(dists.end(), label.dists.begin(), label.dists.end());
+    offsets.push_back(ranks.size());
+    label = BuildLabel();
+  }
 }
 
 }  // namespace
@@ -114,94 +133,71 @@ HubLabels HubLabels::Build(const RoadNetwork& net, int slot) {
   }
   FM_CHECK_EQ(order.size(), n);
 
-  std::vector<std::vector<BuildEntry>> out_labels(n);
-  std::vector<std::vector<BuildEntry>> in_labels(n);
-
+  std::vector<BuildLabel> out_labels(n);
+  std::vector<BuildLabel> in_labels(n);
+  const SlotArcs out_arcs(net, slot, /*forward=*/true);
+  const SlotArcs in_arcs(net, slot, /*forward=*/false);
   std::vector<Seconds> dist(n, kInfiniteTime);
   std::vector<NodeId> touched;
-  touched.reserve(n);
+  std::vector<Seconds> hub_dist(n, kInfiniteTime);
+  std::vector<QueueEntry> heap;
+  const std::greater<QueueEntry> later;
 
-  for (std::uint32_t rank = 0; rank < n; ++rank) {
+  // Pruned Dijkstra from the hub of rank `rank`: forward fills the in-labels
+  // of nodes it reaches, backward the out-labels of nodes reaching it. Prune
+  // sums run out + in, as in Query; push_heap/pop_heap with std::greater pop
+  // in std::priority_queue's order.
+  auto search = [&](std::uint32_t rank, auto forward) {
     const NodeId hub = order[rank];
-
-    // Forward pruned Dijkstra from the hub: hub enters in-labels of reached
-    // nodes (hub can reach them).
-    {
-      MinQueue queue;
-      dist[hub] = 0.0;
-      touched.push_back(hub);
-      queue.push({0.0, hub});
-      while (!queue.empty()) {
-        auto [d, u] = queue.top();
-        queue.pop();
-        if (d > dist[u]) continue;
-        // Prune: an earlier hub already certifies a path of length <= d.
-        if (LabelQuery(out_labels[hub], in_labels[u]) <= d) continue;
-        in_labels[u].push_back({rank, d});
-        for (EdgeId e : net.OutEdges(u)) {
-          const NodeId v = net.edge_head(e);
-          const Seconds nd = d + net.EdgeTime(e, slot);
-          if (nd < dist[v]) {
-            if (dist[v] == kInfiniteTime) touched.push_back(v);
-            dist[v] = nd;
-            queue.push({nd, v});
-          }
+    const SlotArcs& arcs = forward ? out_arcs : in_arcs;
+    const BuildLabel& hub_label = forward ? out_labels[hub] : in_labels[hub];
+    std::vector<BuildLabel>& labels = forward ? in_labels : out_labels;
+    for (std::size_t i = 0; i < hub_label.ranks.size(); ++i) {
+      hub_dist[hub_label.ranks[i]] = hub_label.dists[i];
+    }
+    dist[hub] = 0.0;
+    touched.push_back(hub);
+    heap.push_back({0.0, hub});
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      const auto [d, u] = heap.back();
+      heap.pop_back();
+      if (d > dist[u]) continue;
+      // Prune: an earlier hub already certifies a path of length <= d.
+      BuildLabel& label = labels[u];
+      std::size_t i = 0;
+      for (; i < label.ranks.size(); ++i) {
+        const Seconds h = hub_dist[label.ranks[i]];
+        if ((forward ? h + label.dists[i] : label.dists[i] + h) <= d) break;
+      }
+      if (i < label.ranks.size()) continue;
+      label.ranks.push_back(rank);
+      label.dists.push_back(d);
+      for (std::size_t a = arcs.offsets[u]; a < arcs.offsets[u + 1]; ++a) {
+        const auto [v, time] = arcs.arcs[a];
+        const Seconds nd = d + time;
+        if (nd < dist[v]) {
+          if (dist[v] == kInfiniteTime) touched.push_back(v);
+          dist[v] = nd;
+          heap.push_back({nd, v});
+          std::push_heap(heap.begin(), heap.end(), later);
         }
       }
-      for (NodeId u : touched) dist[u] = kInfiniteTime;
-      touched.clear();
     }
-
-    // Backward pruned Dijkstra: hub enters out-labels of reached nodes (they
-    // can reach the hub).
-    {
-      MinQueue queue;
-      dist[hub] = 0.0;
-      touched.push_back(hub);
-      queue.push({0.0, hub});
-      while (!queue.empty()) {
-        auto [d, u] = queue.top();
-        queue.pop();
-        if (d > dist[u]) continue;
-        if (LabelQuery(out_labels[u], in_labels[hub]) <= d) continue;
-        out_labels[u].push_back({rank, d});
-        for (EdgeId e : net.InEdges(u)) {
-          const NodeId v = net.edge_tail(e);
-          const Seconds nd = d + net.EdgeTime(e, slot);
-          if (nd < dist[v]) {
-            if (dist[v] == kInfiniteTime) touched.push_back(v);
-            dist[v] = nd;
-            queue.push({nd, v});
-          }
-        }
-      }
-      for (NodeId u : touched) dist[u] = kInfiniteTime;
-      touched.clear();
-    }
+    for (NodeId u : touched) dist[u] = kInfiniteTime;
+    touched.clear();
+    for (std::uint32_t r : hub_label.ranks) hub_dist[r] = kInfiniteTime;
+  };
+  for (std::uint32_t rank = 0; rank < n; ++rank) {
+    search(rank, /*forward=*/std::true_type());
+    search(rank, /*forward=*/std::false_type());
   }
 
   HubLabels labels;
   labels.num_nodes_ = n;
-  labels.out_offsets_.assign(n + 1, 0);
-  labels.in_offsets_.assign(n + 1, 0);
-  std::size_t out_total = 0;
-  std::size_t in_total = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    out_total += out_labels[u].size();
-    in_total += in_labels[u].size();
-    labels.out_offsets_[u + 1] = out_total;
-    labels.in_offsets_[u + 1] = in_total;
-  }
-  labels.out_entries_.reserve(out_total);
-  labels.in_entries_.reserve(in_total);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (const BuildEntry& e : out_labels[u]) {
-      labels.out_entries_.push_back({e.hub_rank, e.distance});
-    }
-    for (const BuildEntry& e : in_labels[u]) {
-      labels.in_entries_.push_back({e.hub_rank, e.distance});
-    }
-  }
+  Flatten(out_labels, labels.out_offsets_, labels.out_ranks_,
+          labels.out_dists_);
+  Flatten(in_labels, labels.in_offsets_, labels.in_ranks_, labels.in_dists_);
   return labels;
 }
 
@@ -209,28 +205,28 @@ Seconds HubLabels::Query(NodeId s, NodeId t) const {
   FM_CHECK_LT(s, num_nodes_);
   FM_CHECK_LT(t, num_nodes_);
   if (s == t) return 0.0;
-  const Entry* out = out_entries_.data() + out_offsets_[s];
-  const Entry* out_end = out_entries_.data() + out_offsets_[s + 1];
-  const Entry* in = in_entries_.data() + in_offsets_[t];
-  const Entry* in_end = in_entries_.data() + in_offsets_[t + 1];
+  std::size_t i = out_offsets_[s];
+  const std::size_t i_end = out_offsets_[s + 1];
+  std::size_t j = in_offsets_[t];
+  const std::size_t j_end = in_offsets_[t + 1];
   Seconds best = kInfiniteTime;
-  while (out != out_end && in != in_end) {
-    if (out->hub_rank == in->hub_rank) {
-      const Seconds d = out->distance + in->distance;
+  while (i != i_end && j != j_end) {
+    if (out_ranks_[i] == in_ranks_[j]) {
+      const Seconds d = out_dists_[i] + in_dists_[j];
       if (d < best) best = d;
-      ++out;
-      ++in;
-    } else if (out->hub_rank < in->hub_rank) {
-      ++out;
+      ++i;
+      ++j;
+    } else if (out_ranks_[i] < in_ranks_[j]) {
+      ++i;
     } else {
-      ++in;
+      ++j;
     }
   }
   return best;
 }
 
 std::size_t HubLabels::TotalLabelEntries() const {
-  return out_entries_.size() + in_entries_.size();
+  return out_ranks_.size() + in_ranks_.size();
 }
 
 double HubLabels::AverageLabelSize() const {

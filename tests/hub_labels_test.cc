@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "gen/city_gen.h"
 #include "graph/dijkstra.h"
@@ -85,6 +86,76 @@ TEST(HubLabelsTest, LabelSizeIsReported) {
   EXPECT_GT(labels.TotalLabelEntries(), 0u);
   EXPECT_GT(labels.AverageLabelSize(), 0.0);
   EXPECT_EQ(labels.num_nodes(), 16u);
+}
+
+// FNV-1a over the bit patterns of every Query(s, t), s-major.
+std::uint64_t AllPairsQueryHash(const HubLabels& labels) {
+  std::uint64_t hash = kFnv1aOffsetBasis;
+  for (NodeId s = 0; s < labels.num_nodes(); ++s) {
+    for (NodeId t = 0; t < labels.num_nodes(); ++t) {
+      const Seconds d = labels.Query(s, t);
+      hash = Fnv1a(&d, sizeof(d), hash);
+    }
+  }
+  return hash;
+}
+
+// A w×h bidirectional grid where every edge takes the same time, so
+// equal-distance heap pops (and equal-length prune certificates) are
+// everywhere.
+RoadNetwork UniformGrid(int w, int h) {
+  RoadNetwork::Builder builder;
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) builder.AddNode({y * 0.004, x * 0.004});
+  }
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      const NodeId u = static_cast<NodeId>(y * w + x);
+      if (x + 1 < w) {
+        builder.AddEdgeConstant(u, u + 1, 400.0, 60.0);
+        builder.AddEdgeConstant(u + 1, u, 400.0, 60.0);
+      }
+      if (y + 1 < h) {
+        builder.AddEdgeConstant(u, u + w, 400.0, 60.0);
+        builder.AddEdgeConstant(u + w, u, 400.0, 60.0);
+      }
+    }
+  }
+  return builder.Build();
+}
+
+// Golden bit-identity: label sizes and all-pairs query bits are pinned
+// exactly, so a rewrite of the build or of the index layout must reproduce
+// the index bit for bit. A change to the hub order or to a prune decision
+// shows up here even when distances stay exact.
+void ExpectGolden(const HubLabels& labels, std::size_t entries,
+                  std::uint64_t hash) {
+  EXPECT_EQ(labels.TotalLabelEntries(), entries);
+  EXPECT_EQ(AllPairsQueryHash(labels), hash);
+}
+
+TEST(HubLabelsGoldenTest, GridCitySlots) {
+  CityGenParams params;
+  params.grid_width = 12;
+  params.grid_height = 12;
+  params.congestion = UrbanCongestion(2.0);
+  Rng rng(42);
+  RoadNetwork net = GenerateGridCity(params, rng);
+  ExpectGolden(HubLabels::Build(net, 0), 5896u, 0xdcfc32dbdeaed77bull);
+  ExpectGolden(HubLabels::Build(net, 8), 5677u, 0xd2f9bb7f15a2fec4ull);
+  ExpectGolden(HubLabels::Build(net, 13), 5786u, 0x769609c8b3a162a0ull);
+}
+
+TEST(HubLabelsGoldenTest, UniformWeightGrid) {
+  RoadNetwork net = UniformGrid(15, 13);
+  ExpectGolden(HubLabels::Build(net, 0), 4504u, 0xa0ac3daaf92450a3ull);
+}
+
+TEST(HubLabelsGoldenTest, RandomTimeVaryingNetwork) {
+  Rng rng(77);
+  RoadNetwork net =
+      testing::RandomConnectedNetwork(rng, 90, 270, /*time_varying=*/true);
+  ExpectGolden(HubLabels::Build(net, 11), 3899u, 0xfd6af09eff0ae481ull);
 }
 
 }  // namespace
