@@ -58,8 +58,10 @@ struct Config {
   // Maintain the FOODGRAPH incrementally across windows (core/edge_cache.h):
   // replay each vehicle's recorded best-first search footprint and memoize
   // SP legs per shard. Results are bit-identical with the from-scratch build
-  // (enforced by food_graph_incremental_test and bench_incremental_graph);
-  // this knob is the escape hatch (`--no-incremental` in fmsim/fmserve).
+  // (enforced by food_graph_incremental_test and bench_incremental_graph).
+  // No tool flag clears it: false selects the from-scratch build, kept as
+  // the reference those gates, dispatch_engine_test and
+  // `fmsim --verify-no-incremental` compare against.
   bool incremental_graph = true;
   // With durability enabled (a WAL directory configured — see
   // durability/recovery.h), write an engine-state snapshot every this many

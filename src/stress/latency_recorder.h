@@ -11,8 +11,9 @@
 //
 // Samples are kept exact (no sketches — stress horizons are bounded, and
 // a p99.9 from a digest is not an anchor) and summarized with the shared
-// nearest-rank quantiles in common/stats.h, so fmserve, fmsim --scenario
-// and bench_stress all report the same p50/p95/p99/p99.9 definition.
+// nearest-rank quantiles in common/stats.h, so fmserve (with or without
+// --scenario) and bench_stress report the same p50/p95/p99/p99.9
+// definition.
 // Totals also flow into the existing PhaseProfile plumbing under
 // stress.decision / stress.order_latency so --profile output shows the
 // stress share next to the pipeline phases.
@@ -56,8 +57,8 @@ class LatencyRecorder {
 
 // One-line JSON object for a TailSummary, milliseconds with fixed
 // precision: {"count": N, "mean_ms": …, "max_ms": …, "p50_ms": …,
-// "p95_ms": …, "p99_ms": …, "p999_ms": …}. Shared by fmserve, fmsim
-// --scenario and bench_stress so the anchors stay diffable.
+// "p95_ms": …, "p99_ms": …, "p999_ms": …}. Shared by fmserve and
+// bench_stress so the anchors stay diffable.
 std::string TailSummaryJson(const TailSummary& tails);
 
 }  // namespace fm

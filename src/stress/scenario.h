@@ -22,7 +22,7 @@
 //     linearly, the road grid by √multiplier to keep density constant).
 //
 // A small named registry (`zipf`, `lunch-rush`, `flash-crowd`,
-// `shift-change`, `mega-city`, `kitchen-sink`) gives fmsim/fmserve
+// `shift-change`, `mega-city`, `kitchen-sink`) gives fmserve
 // --scenario and bench_stress a shared vocabulary.
 #ifndef FOODMATCH_STRESS_SCENARIO_H_
 #define FOODMATCH_STRESS_SCENARIO_H_

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Header self-containment check: every public header compiles standalone.
+"""Header self-containment check: every header compiles standalone.
 
-For each header under src/, generates a translation unit containing only
-`#include "<header>"` and compiles it with `-fsyntax-only`. A header that
+For each header under src/ and tools/, generates a translation unit
+containing only `#include "<header>"` and compiles it with `-fsyntax-only`
+(`-Isrc`, plus the repo root for `tools/` headers). A header that
 relies on whatever its includers happened to include before it breaks the
 moment the umbrella API is reorganized; this keeps the redesigned surface
 IWYU-clean.
@@ -19,6 +20,7 @@ import tempfile
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
+TOOLS_DIR = os.path.join(REPO_ROOT, "tools")
 
 
 def find_headers():
@@ -28,7 +30,9 @@ def find_headers():
             if name.endswith(".h"):
                 path = os.path.join(dirpath, name)
                 headers.append(os.path.relpath(path, SRC_DIR))
-    return sorted(headers)
+    tools = [f"tools/{name}" for name in sorted(os.listdir(TOOLS_DIR))
+             if name.endswith(".h")]
+    return sorted(headers) + tools
 
 
 def check_header(header, compiler, std, tmpdir):
@@ -41,6 +45,7 @@ def check_header(header, compiler, std, tmpdir):
         "-fsyntax-only",
         "-Wall",
         f"-I{SRC_DIR}",
+        f"-I{REPO_ROOT}",
         tu,
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -55,7 +60,7 @@ def main():
 
     headers = find_headers()
     if not headers:
-        print("error: no headers found under src/", file=sys.stderr)
+        print("error: no headers found under src/ or tools/", file=sys.stderr)
         return 1
 
     failures = []

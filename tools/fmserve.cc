@@ -18,195 +18,87 @@
 // the same stream synchronously on a fresh core and insists the
 // WindowResult fingerprints match bit-for-bit.
 //
-// Usage:
-//   fmserve [--city=A|B|C|grubhub] [--scale=80] [--policy=NAME]
-//           [--start=10] [--end=15] [--fleet=1.0] [--day=0] [--delta=S]
-//           [--scenario=NAME] [--stress-seed=N]
-//           [--threads=N] [--shards=K] [--producers=P]
-//           [--intake-capacity=N] [--no-prestage] [--no-incremental]
-//           [--speedup=S] [--wal-dir=PATH] [--snapshot-every=N] [--restore]
-//           [--log=PATH] [--write-log=PATH] [--out=PATH] [--profile]
-//           [--trace-out=PATH] [--metrics-out=PATH] [--metrics-every=S]
-//           [--verify]
-#include <algorithm>
-#include <chrono>
+// Flags: `fmserve --help` prints the table that also defines the accepted
+// set — the shared rows in run_spec.cc, fmserve's own in ServeFlags().
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/flags.h"
+#include "common/strings.h"
 #include "foodmatch/foodmatch.h"
+#include "run_spec.h"
 
 namespace fm {
 namespace {
 
-std::string JoinedScenarioNames() {
-  std::string joined;
-  for (const std::string& name : StressScenarioNames()) {
-    if (!joined.empty()) joined += ", ";
-    joined += name;
-  }
-  return joined;
-}
-
-void PrintUsage() {
-  std::printf(
-      "fmserve — FoodMatch streaming intake driver\n\n"
-      "  --city=A|B|C|grubhub   city profile (default A)\n"
-      "  --scale=N              Table II scale divisor (default 80)\n"
-      "  --policy=NAME          one of: %s (default foodmatch)\n",
-      PolicyRegistry::Global().NamesString().c_str());
-  std::printf(
-      "  --start=H --end=H      order-intake horizon, hours (default 10..15)\n"
-      "  --fleet=F              fleet fraction (default 1.0; ignored under\n"
-      "                         --scenario, whose shift plan owns the fleet)\n"
-      "  --day=N                workload day / fold (default 0)\n"
-      "  --delta=S              accumulation window override, seconds\n"
-      "  --scenario=NAME        stress scenario overlaying the city profile\n"
-      "                         (%s);\n"
-      "                         replaces the synthesized stream with the\n"
-      "                         scenario's surge/burst/shift event stream\n"
-      "  --stress-seed=N        extra seed folded into the scenario\n"
-      "                         generator (default 0)\n",
-      JoinedScenarioNames().c_str());
-  std::printf(
-      "  --threads=N            assignment-pipeline lanes per window\n"
-      "  --shards=K             region shards (one intake stage per shard)\n"
-      "  --producers=P          ingest threads pushing the event stream\n"
-      "                         (default 1; results identical for any P)\n"
-      "  --intake-capacity=N    per-stage staging-ring capacity (default\n"
-      "                         4096; full rings backpressure, never drop)\n"
-      "  --no-prestage          disable producer-side order pre-routing\n"
-      "  --no-incremental       rebuild the FOODGRAPH from scratch every\n"
-      "                         window (disable the EdgeCache)\n"
-      "  --speedup=S            replay pacing: S event-seconds per\n"
-      "                         wall-second (1 = real time; default 0 =\n"
-      "                         flat out, the throughput mode)\n"
-      "  --wal-dir=PATH         per-shard write-ahead log + snapshots under\n"
-      "                         PATH (forces the sharded core; K=1 is\n"
-      "                         bit-identical to the plain engine)\n"
-      "  --snapshot-every=N     snapshot cadence in closed windows\n"
-      "                         (default 8; requires --wal-dir)\n"
-      "  --restore              kill shard 0 at the mid-stream window and\n"
-      "                         restore it from snapshot + WAL while the\n"
-      "                         other shards keep serving (requires\n"
-      "                         --wal-dir; pair with --verify to prove the\n"
-      "                         restored run bit-identical)\n"
-      "  --log=PATH             replay this event log instead of\n"
-      "                         synthesizing the stream (ids must match the\n"
-      "                         generated city — pair with --write-log)\n"
-      "  --write-log=PATH       write the replayed stream as an event log\n"
-      "  --out=PATH             write the serving report as JSON\n"
-      "  --profile              print the per-phase profile (intake.absorb /\n"
-      "                         intake.prestage / intake.drain + core)\n"
-      "  --trace-out=PATH       record spans (every profiled phase, window\n"
-      "                         closes, shard fan-outs, order lifecycles)\n"
-      "                         and write Chrome trace-event JSON — open in\n"
-      "                         Perfetto (ui.perfetto.dev)\n"
-      "  --metrics-out=PATH     live telemetry: register the full metrics\n"
-      "                         set (docs/OBSERVABILITY.md) and append one\n"
-      "                         JSONL registry snapshot per cadence tick\n"
-      "  --metrics-every=S      telemetry cadence in wall seconds (default\n"
-      "                         5.0; 0 samples at every window close)\n"
-      "  --verify               also replay synchronously on a fresh core\n"
-      "                         and require bit-identical window results\n"
-      "  --help                 this text\n");
-}
-
-// A dispatch core plus everything that must stay alive behind it.
-struct CoreBundle {
-  std::unique_ptr<AssignmentPolicy> policy;
-  std::unique_ptr<DispatchEngine> engine;
-  std::unique_ptr<GridRegionPartitioner> partitioner;
-  std::unique_ptr<ShardedDispatchEngine> sharded;
-  DispatchCore* core = nullptr;
-};
-
-// `metrics` (nullable) reaches the sharded router, which registers the
-// serving/WAL/oracle/EdgeCache instrument set; the intake/executor/core set
-// is registered by the WindowExecutor via StreamReplayOptions::metrics.
-// Verify cores must pass null — a registry rejects duplicate names.
-CoreBundle MakeCore(const RoadNetwork& network, const DistanceOracle& oracle,
-                    const Config& config, const std::string& policy_name,
-                    const PolicyOptions& policy_options,
-                    const std::string& wal_dir = "",
-                    obs::MetricsRegistry* metrics = nullptr) {
-  CoreBundle bundle;
-  DispatchEngineOptions engine_options;
-  // Per-window decision wall-clock feeds the tail summary; safe under
-  // --verify because fm::FingerprintWindowResults excludes decision_seconds.
-  engine_options.measure_wall_clock = true;
-  // Durability lives in the sharded serving layer, so --wal-dir forces the
-  // sharded core even at K=1 (bit-identical to the plain engine).
-  if (config.shards > 1 || !wal_dir.empty()) {
-    bundle.partitioner =
-        std::make_unique<GridRegionPartitioner>(&network, config.shards);
-    ShardedEngineOptions sharded_options;
-    sharded_options.engine = engine_options;
-    sharded_options.metrics = metrics;
-    if (!wal_dir.empty()) {
-      sharded_options.durability.dir = wal_dir;
-      sharded_options.durability.snapshot_every_windows =
-          config.snapshot_every_windows;
-    }
-    bundle.sharded = std::make_unique<ShardedDispatchEngine>(
-        bundle.partitioner.get(), policy_name, &oracle, config,
-        policy_options, sharded_options);
-    bundle.core = bundle.sharded.get();
-  } else {
-    bundle.policy = PolicyRegistry::Global().Create(policy_name, &oracle,
-                                                    config, policy_options);
-    bundle.engine = std::make_unique<DispatchEngine>(bundle.policy.get(),
-                                                     config, engine_options);
-    bundle.core = bundle.engine.get();
-  }
-  return bundle;
+std::vector<FlagDoc> ServeFlags() {
+  return {
+      {"scenario", "NAME",
+       "stress scenario overlaying the city profile\n(" +
+           Join(StressScenarioNames(), ", ") +
+           ");\nreplaces the synthesized stream with the\nscenario's "
+           "surge/burst/shift event stream\n(its shift plan owns the fleet)"},
+      {"stress-seed", "N",
+       "extra seed folded into the scenario\ngenerator (default 0)"},
+      {"producers", "P",
+       "ingest threads pushing the event stream\n(default 1; results "
+       "identical for any P)"},
+      {"speedup", "S",
+       "replay pacing: S event-seconds per\nwall-second (1 = real time; "
+       "default 0 =\nflat out, the throughput mode)"},
+      {"restore", "",
+       "kill shard 0 at the mid-stream window and\nrestore it from snapshot "
+       "+ WAL while the\nother shards keep serving (requires\n--wal-dir; "
+       "pair with --verify to prove the\nrestored run bit-identical)"},
+      {"log", "PATH",
+       "replay this event log instead of\nsynthesizing the stream (ids must "
+       "match the\ngenerated city — pair with --write-log)"},
+      {"write-log", "PATH", "write the replayed stream as an event log"},
+      {"out", "PATH", "write the serving report as JSON"},
+      {"metrics-out", "PATH",
+       "live telemetry: register the full metrics\nset "
+       "(docs/OBSERVABILITY.md) and append one\nJSONL registry snapshot per "
+       "cadence tick"},
+      {"metrics-every", "S",
+       "telemetry cadence in wall seconds (default\n5.0; 0 samples at every "
+       "window close)"},
+      {"verify", "",
+       "also replay synchronously on a fresh core\nand require bit-identical "
+       "window results"},
+  };
 }
 
 int Main(int argc, char** argv) {
-  FlagParser flags;
-  if (!flags.Parse(argc, argv)) {
-    std::fprintf(stderr, "error: %s\n", flags.error().c_str());
-    return 2;
-  }
-  if (flags.HasFlag("help")) {
-    PrintUsage();
-    return 0;
-  }
-
-  const std::string city = flags.GetString("city", "A");
-  const double scale = flags.GetDouble("scale", 80.0);
-  CityProfile profile = city == "B"          ? CityBProfile(scale)
-                        : city == "C"        ? CityCProfile(scale)
-                        : city == "grubhub"  ? GrubhubProfile(scale)
-                                             : CityAProfile(scale);
-
+  const RunSpec spec = ParseRunSpec(
+      argc, argv, "fmserve — FoodMatch streaming intake driver", ServeFlags());
+  const FlagParser& flags = spec.flags;
+  const Config& config = spec.config;
   const std::string scenario_name = flags.GetString("scenario");
-  if (!scenario_name.empty() && !IsStressScenario(scenario_name)) {
-    std::fprintf(stderr, "unknown --scenario=%s (scenarios: %s)\n",
-                 scenario_name.c_str(), JoinedScenarioNames().c_str());
-    return 2;
+  if (flags.HasFlag("scenario")) {
+    RequireChoice("scenario", scenario_name, StressScenarioNames());
   }
-
-  WorkloadOptions options;
-  options.start_time = flags.GetDouble("start", 10.0) * 3600.0;
-  options.end_time = flags.GetDouble("end", 15.0) * 3600.0;
-  options.day = static_cast<std::uint64_t>(flags.GetInt("day", 0));
+  RejectFlagWith(spec, "log", "scenario");
+  RejectFlagWith(spec, "fleet", "scenario");
+  RejectFlagWith(spec, "fleet", "log");
+  RequireFlag(spec, "stress-seed", "scenario");
+  RequireFlag(spec, "restore", "wal-dir");
+  RequireFlag(spec, "metrics-every", "metrics-out");
 
   Workload workload;
   std::vector<StampedEvent> stress_events;
   if (scenario_name.empty()) {
-    workload = GenerateWorkload(profile, options);
+    workload = GenerateWorkload(spec.city, spec.horizon);
   } else {
     StressGenOptions stress_options;
     stress_options.seed =
         static_cast<std::uint64_t>(flags.GetInt("stress-seed", 0));
-    stress_options.start_time = options.start_time;
-    stress_options.end_time = options.end_time;
-    stress_options.day = options.day;
+    stress_options.start_time = spec.horizon.start_time;
+    stress_options.end_time = spec.horizon.end_time;
+    stress_options.day = spec.horizon.day;
     StressWorkload stress = GenerateStressWorkload(
-        profile, StressScenario(scenario_name), stress_options);
+        spec.city, StressScenario(scenario_name), stress_options);
     std::printf(
         "scenario %s: %llu order events (%llu burst), %llu vehicle "
         "updates, %llu retirements\n",
@@ -219,70 +111,19 @@ int Main(int argc, char** argv) {
     stress_events = std::move(stress.events);
   }
 
-  Config config;
-  config.accumulation_window = flags.GetDouble("delta", profile.default_delta);
-  config.threads = flags.GetInt("threads", config.threads);
-  config.shards = flags.GetInt("shards", config.shards);
-  config.intake_queue_capacity =
-      flags.GetInt("intake-capacity", config.intake_queue_capacity);
-  if (flags.HasFlag("no-prestage")) config.intake_prestage = false;
-  if (flags.HasFlag("no-incremental")) config.incremental_graph = false;
-  config.snapshot_every_windows =
-      flags.GetInt("snapshot-every", config.snapshot_every_windows);
-  config.Validate();
-
-  const std::string wal_dir = flags.GetString("wal-dir");
-  const bool restore = flags.HasFlag("restore");
-  if (restore && wal_dir.empty()) {
-    std::fprintf(stderr, "--restore requires --wal-dir\n");
-    return 2;
-  }
-  if (flags.HasFlag("snapshot-every") && wal_dir.empty()) {
-    std::fprintf(stderr, "--snapshot-every requires --wal-dir\n");
-    return 2;
-  }
-
-  const std::string policy_name = flags.GetString("policy", "foodmatch");
-  if (!PolicyRegistry::Global().Contains(policy_name)) {
-    std::fprintf(stderr, "unknown --policy=%s (registered: %s)\n",
-                 policy_name.c_str(),
-                 PolicyRegistry::Global().NamesString().c_str());
-    return 2;
-  }
-  PolicyOptions policy_options;
-  policy_options.fixed_k = flags.GetInt("k", 0);
-
-  // Warm the hub-label slots over the horizon before serving, exactly as
-  // fmsim does — intake prestaging keeps them warm afterwards.
+  // Intake prestaging keeps the warmed slots warm afterwards.
   PhaseProfile profile_sink;
-  DistanceOracle oracle(&workload.network, OracleBackend::kHubLabels);
-  {
-    const int first = HourSlot(options.start_time);
-    const int last = std::min(kSlotsPerDay - 1, HourSlot(options.end_time) + 2);
-    const auto warm_t0 = std::chrono::steady_clock::now();
-    ThreadPool warm_pool(ThreadPool::ResolveThreadCount(config.threads));
-    oracle.WarmSlots(first, last, &warm_pool);
-    profile_sink.Record(
-        "oracle.warm",
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      warm_t0)
-            .count());
-  }
+  const std::unique_ptr<DistanceOracle> oracle =
+      WarmOracle(spec, workload.network, &profile_sink);
 
   const std::vector<Vehicle> fleet =
-      scenario_name.empty()
-          ? SubsampleFleet(workload.fleet, flags.GetDouble("fleet", 1.0))
-          : workload.fleet;
-  const Seconds start = options.start_time;
-  const Seconds end = options.end_time;
+      scenario_name.empty() ? SubsampleFleet(workload.fleet, spec.fleet)
+                            : workload.fleet;
+  const Seconds start = spec.horizon.start_time;
+  const Seconds end = spec.horizon.end_time;
   const Seconds delta = config.accumulation_window;
 
   const std::string log_path = flags.GetString("log");
-  if (!log_path.empty() && !scenario_name.empty()) {
-    std::fprintf(stderr,
-                 "--log and --scenario both name a stream; pick one\n");
-    return 2;
-  }
   std::vector<StampedEvent> events =
       !scenario_name.empty() ? std::move(stress_events)
       : log_path.empty()
@@ -295,19 +136,21 @@ int Main(int argc, char** argv) {
                 events.size());
   }
 
-  const bool want_profile = flags.HasFlag("profile");
   const int producers = flags.GetInt("producers", 1);
 
   // Observability: --metrics-out builds one registry for the serving run
-  // (the verify core below deliberately gets none) and tails it to JSONL;
-  // --trace-out records spans + order lifecycles for Perfetto.
+  // (the verify core below deliberately gets none — a registry rejects
+  // duplicate names) and tails it to JSONL; --trace-out records spans +
+  // order lifecycles for Perfetto. The sharded router registers the
+  // serving/WAL/oracle/EdgeCache set, the WindowExecutor the
+  // intake/executor/core set.
   const std::string metrics_out = flags.GetString("metrics-out");
   const double metrics_every = flags.GetDouble("metrics-every", 5.0);
   obs::MetricsRegistry registry;
   obs::MetricsRegistry* metrics = metrics_out.empty() ? nullptr : &registry;
 
-  CoreBundle serving = MakeCore(workload.network, oracle, config, policy_name,
-                                policy_options, wal_dir, metrics);
+  CoreBundle serving = MakeCore(spec, workload.network, *oracle,
+                                {.wal_dir = spec.wal_dir, .metrics = metrics});
 
   StreamReplayStats stats;
   StreamReplayOptions stream_options;
@@ -316,37 +159,20 @@ int Main(int argc, char** argv) {
   stream_options.queue_capacity =
       static_cast<std::size_t>(config.intake_queue_capacity);
   stream_options.prestage = config.intake_prestage;
-  stream_options.oracle = &oracle;
+  stream_options.oracle = oracle.get();
   if (serving.sharded != nullptr) {
     stream_options.router = MakeRegionStageRouter(&serving.sharded->partitioner());
   }
-  stream_options.profile = want_profile ? &profile_sink : nullptr;
+  stream_options.profile = spec.profile ? &profile_sink : nullptr;
   stream_options.metrics = metrics;
   stream_options.speedup = flags.GetDouble("speedup", 0.0);
   stream_options.stats = &stats;
-  if (restore) {
-    // Kill + restore shard 0 once, at the first window past the midpoint of
-    // the stream. The callback runs on the consumer thread after the close
-    // — the core is quiescent there, and the other shards' engines are
-    // untouched (they keep serving from their own WALs).
-    const Seconds mid = (start + end) / 2.0;
-    ShardedDispatchEngine* core = serving.sharded.get();
-    stream_options.on_window_closed = [core, mid, restored = false](
-                                          Seconds now, std::size_t) mutable {
-      if (restored || now < mid) return;
-      restored = true;
-      const RecoveryReport report = core->RestoreShard(0);
-      std::printf(
-          "restore: shard 0 at t=%.0f — snapshot %s (%llu windows), "
-          "%llu/%llu records replayed, %llu windows replayed, "
-          "state fingerprint %016llx\n",
-          now, report.snapshot_loaded ? "loaded" : "absent",
-          static_cast<unsigned long long>(report.snapshot_windows),
-          static_cast<unsigned long long>(report.records_replayed),
-          static_cast<unsigned long long>(report.records_valid),
-          static_cast<unsigned long long>(report.windows_replayed),
-          static_cast<unsigned long long>(report.state_fingerprint));
-    };
+  if (flags.HasFlag("restore")) {
+    // The callback runs on the consumer thread after the close — the core
+    // is quiescent there, and the other shards' engines are untouched
+    // (they keep serving from their own WALs).
+    stream_options.on_window_closed =
+        MidpointRestoreHook(spec, serving.sharded.get());
   }
 
   // Telemetry samples ride the consumer thread's window-close callback,
@@ -369,14 +195,13 @@ int Main(int argc, char** argv) {
         };
   }
 
-  const std::string trace_out = flags.GetString("trace-out");
-  if (!trace_out.empty()) obs::Tracer::Global().Enable();
+  if (!spec.trace_out.empty()) obs::Tracer::Global().Enable();
 
   std::printf(
       "%s (1/%.0f): %zu nodes, %zu events, %zu vehicles, policy=%s, "
       "shards=%d, producers=%d, capacity=%d, prestage=%s, speedup=%s\n",
-      profile.name.c_str(), scale, workload.network.num_nodes(),
-      events.size(), fleet.size(), policy_name.c_str(), config.shards,
+      spec.city.name.c_str(), spec.scale, workload.network.num_nodes(),
+      events.size(), fleet.size(), spec.policy.c_str(), config.shards,
       producers, config.intake_queue_capacity,
       config.intake_prestage ? "on" : "off",
       stream_options.speedup > 0.0 ? "throttled" : "max");
@@ -425,40 +250,20 @@ int Main(int argc, char** argv) {
                 metrics_out.c_str(),
                 static_cast<unsigned long long>(samples), metrics_every);
   }
-  if (!trace_out.empty()) {
-    obs::Tracer& tracer = obs::Tracer::Global();
-    tracer.Disable();
-    const std::size_t trace_events = tracer.SortedEvents().size();
-    if (!tracer.WriteJson(trace_out)) {
-      std::fprintf(stderr, "failed to write %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::printf("trace json: %s (%zu events, %llu overwritten)\n",
-                trace_out.c_str(), trace_events,
-                static_cast<unsigned long long>(tracer.dropped()));
-  }
+  if (!spec.trace_out.empty() && !FinishTrace(spec.trace_out)) return 1;
 
   if (flags.HasFlag("verify")) {
-    CoreBundle batch = MakeCore(workload.network, oracle, config, policy_name,
-                                policy_options);
+    CoreBundle batch = MakeCore(spec, workload.network, *oracle);
     VectorEventSource source(events);
-    const std::vector<WindowResult> batch_results =
-        ReplayEventStream(*batch.core, source, start, end, delta);
-    const std::uint64_t batch_fingerprint =
-        FingerprintWindowResults(batch_results);
-    if (batch_fingerprint != fingerprint) {
-      std::fprintf(stderr,
-                   "VERIFY FAILED: streaming fingerprint %016llx != "
-                   "synchronous %016llx\n",
-                   static_cast<unsigned long long>(fingerprint),
-                   static_cast<unsigned long long>(batch_fingerprint));
+    if (!VerifyFingerprint(
+            "streaming", "synchronous", fingerprint,
+            FingerprintWindowResults(
+                ReplayEventStream(*batch.core, source, start, end, delta)))) {
       return 1;
     }
-    std::printf("verify: streaming == synchronous (%016llx)\n",
-                static_cast<unsigned long long>(fingerprint));
   }
 
-  if (want_profile) {
+  if (spec.profile) {
     std::printf("\nper-phase wall-clock profile (threads=%d):\n%s",
                 config.threads, profile_sink.FormatTable().c_str());
   }
@@ -486,7 +291,7 @@ int Main(int argc, char** argv) {
         "  \"decision_ms\": %s,\n"
         "  \"fingerprint\": \"%016llx\"\n"
         "}\n",
-        profile.name.c_str(), scale, policy_name.c_str(),
+        spec.city.name.c_str(), spec.scale, spec.policy.c_str(),
         scenario_name.c_str(), config.shards, config.threads, producers,
         config.intake_queue_capacity,
         config.intake_prestage ? "true" : "false", stream_options.speedup,

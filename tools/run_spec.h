@@ -1,0 +1,136 @@
+// Driver core shared by the fmsim and fmserve tools.
+//
+// Both tools run the same loop — a city workload, a warmed distance oracle
+// and a dispatch core (one engine, or K region shards with an optional
+// WAL) — and differ only in how events reach the core: fmsim replays a day
+// through the simulator, fmserve streams an event log through the intake
+// rings. This file holds everything else: one flag table that drives both
+// --help and the accepted-flag set, one parser for the shared run flags,
+// the oracle warm-up, the core builder, the shard-0 restore hook, the
+// fingerprint check and the trace writer.
+#ifndef FOODMATCH_TOOLS_RUN_SPEC_H_
+#define FOODMATCH_TOOLS_RUN_SPEC_H_
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/flags.h"
+#include "common/profiler.h"
+#include "common/types.h"
+#include "core/assignment_policy.h"
+#include "core/dispatch_engine.h"
+#include "core/policy_registry.h"
+#include "gen/profiles.h"
+#include "gen/workload.h"
+#include "graph/distance_oracle.h"
+#include "graph/road_network.h"
+#include "model/config.h"
+#include "obs/metrics_registry.h"
+#include "serving/region_partitioner.h"
+#include "serving/sharded_dispatch_engine.h"
+
+namespace fm {
+
+// One row of a tool's flag table. `value` names the flag's argument
+// ("PATH", "N", ...) and is empty for a bare switch; `help` may span lines.
+struct FlagDoc {
+  std::string name;
+  std::string value;
+  std::string help;
+};
+
+// The shared run flags, parsed once.
+struct RunSpec {
+  FlagParser flags;  // every flag as given; tools read their own from here
+  CityProfile city;  // --city at --scale
+  double scale = 80.0;
+  WorkloadOptions horizon;  // --start, --end, --day
+  double fleet = 1.0;
+  Config config;  // --delta/--eta/--gamma/--threads/--shards/intake/WAL
+  std::string policy;
+  PolicyOptions policy_options;  // --k
+  std::string wal_dir;
+  std::string trace_out;
+  bool profile = false;
+};
+
+// Parses argv against the shared flags followed by `tool_flags`. On --help
+// prints the table under `title` and exits 0. Exits 2 with an error naming
+// the valid choices on an unknown flag, a stray argument, a value given to
+// a switch, an unknown --city or --policy, or --snapshot-every without
+// --wal-dir.
+RunSpec ParseRunSpec(int argc, char** argv, const std::string& title,
+                     const std::vector<FlagDoc>& tool_flags);
+
+// Prints "error: <message>" and exits 2: the answer to any flag misuse.
+[[noreturn]] void UsageError(const std::string& message);
+
+// Exits 2 unless `value` is one of `choices` (`flag` names it in the error).
+void RequireChoice(const std::string& flag, const std::string& value,
+                   const std::vector<std::string>& choices);
+
+// Exits 2 when `flag` is given without `needed`, which it does nothing
+// without.
+void RequireFlag(const RunSpec& spec, const std::string& flag,
+                 const std::string& needed);
+
+// Exits 2 when `flag` is given together with `mode`, which would ignore it.
+void RejectFlagWith(const RunSpec& spec, const std::string& flag,
+                    const std::string& mode);
+
+// Builds a hub-label oracle over `network` and warms every slot the horizon
+// queries (plus 2 h of drain) across --threads lanes — the warmed indices
+// are identical for any lane count — recording the wall clock as
+// "oracle.warm" in `profile`.
+std::unique_ptr<DistanceOracle> WarmOracle(const RunSpec& spec,
+                                           const RoadNetwork& network,
+                                           PhaseProfile* profile);
+
+struct CoreOptions {
+  // Forwarded to DispatchEngineOptions; match the driver's own setting.
+  // Window fingerprints exclude decision time, so true is safe to verify.
+  bool measure_wall_clock = true;
+  // Non-empty: per-shard WAL + snapshots here. A WAL forces the sharded
+  // core even at K=1, which is bit-identical to the plain engine.
+  std::string wal_dir;
+  PhaseProfile* profile = nullptr;          // sharded router phases
+  obs::MetricsRegistry* metrics = nullptr;  // sharded serving instruments
+};
+
+// A dispatch core plus everything that must stay alive behind it.
+struct CoreBundle {
+  std::unique_ptr<AssignmentPolicy> policy;  // plain engine only
+  std::unique_ptr<DispatchEngine> engine;
+  std::unique_ptr<GridRegionPartitioner> partitioner;
+  std::unique_ptr<ShardedDispatchEngine> sharded;
+  DispatchCore* core = nullptr;
+};
+
+// The plain engine for one shard without a WAL, else the sharded router
+// (each shard builds its policy by name through the registry).
+CoreBundle MakeCore(const RunSpec& spec, const RoadNetwork& network,
+                    const DistanceOracle& oracle,
+                    const CoreOptions& options = {});
+
+// A window-close hook that, once, at the first window at or past the
+// horizon midpoint, kills shard 0 of `core`, restores it from snapshot +
+// WAL and prints the recovery report. Install it where the core is
+// quiescent (after a window is fully applied).
+std::function<void(Seconds now, std::uint64_t window)> MidpointRestoreHook(
+    const RunSpec& spec, ShardedDispatchEngine* core);
+
+// Prints "verify: <run> == <reference>" when the fingerprints match and
+// returns true; otherwise reports the mismatch and returns false.
+bool VerifyFingerprint(const char* run, const char* reference,
+                       std::uint64_t got, std::uint64_t want);
+
+// Stops the global tracer and writes its events as Chrome trace-event
+// JSON. Returns false (after reporting) on IO error.
+bool FinishTrace(const std::string& path);
+
+}  // namespace fm
+
+#endif  // FOODMATCH_TOOLS_RUN_SPEC_H_
