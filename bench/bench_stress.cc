@@ -1,18 +1,22 @@
-// bench_stress — stress-scenario serving gates + tail-latency sweep.
+// bench_stress — streaming-serving gates + the stress-scenario sweep.
 //
-// Part 1 hard-gates the stress subsystem's determinism contracts:
+// Part 1 hard-gates the streaming intake's determinism contracts:
 //   * same (scenario, seed) → byte-identical on-disk event log; a different
 //     seed must produce a different log;
-//   * replay bit-identity: for each gate scenario the streamed WindowResult
+//   * replay bit-identity: for each gate stream the streamed WindowResult
 //     fingerprint matches the synchronous baseline across threads ∈ {1,4},
-//     shards ∈ {1,4}, producers ∈ {1,4}, and the K=1 sharded core matches
-//     the plain single engine.
-// Part 2 sweeps the six named scenarios × shard counts through the
-// streaming intake and records exact p50/p95/p99/p99.9 window-decision and
-// intake→decision latencies into BENCH_stress.json (schema
-// foodmatch-stress-v1) — the stress anchor CI uploads per commit. The
-// flash-crowd and shift-change rows run at a bounded intake capacity and
-// are hard-gated to exercise backpressure (blocked_pushes > 0).
+//     shards ∈ {1,4}, producers ∈ {1,4}, and the K=1 core matches the plain
+//     single engine. The gate streams are three scenarios that exercise
+//     every event kind plus the plain batch-replay stream (CityA 1/40,
+//     12–13 h, ∆ = 120 s, small rings that force backpressure).
+// Part 2 sweeps the six named scenarios plus the plain CityB stream × shard
+// counts through the streaming intake (wall-clock measurement off) and
+// records counts, throughput and fingerprints into BENCH_stress.json
+// (schema foodmatch-stress-v2) — the stress anchor CI uploads per commit.
+// The flash-crowd and shift-change rows run at a bounded intake capacity
+// and are hard-gated to exercise backpressure (blocked_pushes > 0).
+// Decision latency under open-loop arrivals is perfbench's job, not this
+// closed-loop replay's.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -39,9 +43,18 @@ constexpr double kMegaCityScale = 320.0;
 constexpr double kKitchenSinkScale = 80.0;
 constexpr Seconds kStart = 11.0 * 3600.0;
 constexpr Seconds kEnd = 13.0 * 3600.0;
-// Bounded capacity for the backpressure rows; everything else runs at the
-// serving default.
+// The plain (no-overlay) batch-replay streams: every vehicle announced at
+// the start, one OrderPlaced per order, over the lunch hour at ∆ = 120 s —
+// CityA 1/40 in the replay gate, CityB 1/80 in the sweep.
+constexpr double kPlainGateScale = 40.0;
+constexpr double kPlainSweepScale = 80.0;
+constexpr Seconds kPlainStart = 12.0 * 3600.0;
+constexpr Seconds kPlainEnd = 13.0 * 3600.0;
+constexpr Seconds kPlainDelta = 120.0;
+// Bounded capacity for the backpressure rows and the plain gate stream;
+// everything else runs at the serving default.
 constexpr std::size_t kBoundedCapacity = 32;
+constexpr std::size_t kPlainGateCapacity = 256;
 constexpr std::size_t kDefaultCapacity = 4096;
 
 struct StressCore {
@@ -53,10 +66,10 @@ struct StressCore {
 };
 
 StressCore MakeCore(const RoadNetwork& network, const DistanceOracle& oracle,
-                    const Config& config, bool measure_wall_clock) {
+                    const Config& config) {
   StressCore bundle;
   DispatchEngineOptions engine_options;
-  engine_options.measure_wall_clock = measure_wall_clock;
+  engine_options.measure_wall_clock = false;
   if (config.shards > 1) {
     bundle.partitioner =
         std::make_unique<GridRegionPartitioner>(&network, config.shards);
@@ -76,38 +89,72 @@ StressCore MakeCore(const RoadNetwork& network, const DistanceOracle& oracle,
   return bundle;
 }
 
-Config MakeConfig(const CityProfile& profile, int threads, int shards,
-                  std::size_t capacity) {
+// A generated stream plus its warmed oracle, reused across replays: a
+// named stress scenario over kStart–kEnd at the profile's ∆, or the plain
+// batch-replay stream (scenario "plain", no overlay).
+struct Instance {
+  std::string scenario;
+  StressWorkload stress;
+  Seconds start = kStart;
+  Seconds end = kEnd;
+  Seconds delta = 0.0;
+  // Intake ring capacity every replay of this instance runs at.
+  std::size_t capacity = kDefaultCapacity;
+  std::unique_ptr<DistanceOracle> oracle;
+};
+
+Config MakeConfig(const Instance& inst, int threads, int shards) {
   Config config;
-  config.accumulation_window = profile.default_delta;
+  config.accumulation_window = inst.delta;
   config.threads = threads;
   config.shards = shards;
-  config.intake_queue_capacity = static_cast<int>(capacity);
+  config.intake_queue_capacity = static_cast<int>(inst.capacity);
   config.Validate();
   return config;
 }
 
-// A generated instance plus its warmed oracle, reused across replays.
-struct Instance {
-  StressWorkload stress;
-  std::unique_ptr<DistanceOracle> oracle;
-};
+void WarmOracle(Instance* inst) {
+  inst->oracle = std::make_unique<DistanceOracle>(&inst->stress.base.network,
+                                                  OracleBackend::kHubLabels);
+  const int first = HourSlot(inst->start);
+  const int last = std::min(kSlotsPerDay - 1, HourSlot(inst->end) + 2);
+  ThreadPool warm_pool(ThreadPool::ResolveThreadCount(0));
+  inst->oracle->WarmSlots(first, last, &warm_pool);
+}
 
 Instance MakeInstance(const CityProfile& profile, const std::string& scenario,
-                      std::uint64_t seed) {
+                      std::uint64_t seed, std::size_t capacity) {
   Instance inst;
+  inst.scenario = scenario;
   StressGenOptions options;
   options.seed = seed;
   options.start_time = kStart;
   options.end_time = kEnd;
   inst.stress = GenerateStressWorkload(profile, StressScenario(scenario),
                                        options);
-  inst.oracle = std::make_unique<DistanceOracle>(&inst.stress.base.network,
-                                                 OracleBackend::kHubLabels);
-  const int first = HourSlot(kStart);
-  const int last = std::min(kSlotsPerDay - 1, HourSlot(kEnd) + 2);
-  ThreadPool warm_pool(ThreadPool::ResolveThreadCount(0));
-  inst.oracle->WarmSlots(first, last, &warm_pool);
+  inst.delta = inst.stress.base.profile.default_delta;
+  inst.capacity = capacity;
+  WarmOracle(&inst);
+  return inst;
+}
+
+Instance MakePlainInstance(const CityProfile& profile, std::size_t capacity) {
+  Instance inst;
+  inst.scenario = "plain";
+  inst.start = kPlainStart;
+  inst.end = kPlainEnd;
+  inst.delta = kPlainDelta;
+  inst.capacity = capacity;
+  WorkloadOptions options;
+  options.start_time = kPlainStart;
+  options.end_time = kPlainEnd;
+  Workload& base = inst.stress.base;
+  base = GenerateWorkload(profile, options);
+  inst.stress.events =
+      MakeBatchReplayEvents(base.fleet, base.orders, kPlainStart);
+  inst.stress.order_events = base.orders.size();
+  inst.stress.vehicle_updates = base.fleet.size();
+  WarmOracle(&inst);
   return inst;
 }
 
@@ -157,17 +204,15 @@ void GateLogByteIdentity() {
 }
 
 std::uint64_t SyncFingerprint(const Instance& inst, const Config& config) {
-  StressCore bundle = MakeCore(inst.stress.base.network, *inst.oracle, config,
-                               /*measure_wall_clock=*/false);
+  StressCore bundle = MakeCore(inst.stress.base.network, *inst.oracle, config);
   VectorEventSource source(inst.stress.events);
   return FingerprintWindowResults(ReplayEventStream(
-      *bundle.core, source, kStart, kEnd, config.accumulation_window));
+      *bundle.core, source, inst.start, inst.end, inst.delta));
 }
 
 std::uint64_t StreamedFingerprint(const Instance& inst, const Config& config,
                                   int producers) {
-  StressCore bundle = MakeCore(inst.stress.base.network, *inst.oracle, config,
-                               /*measure_wall_clock=*/false);
+  StressCore bundle = MakeCore(inst.stress.base.network, *inst.oracle, config);
   StreamReplayOptions options;
   options.producers = producers;
   options.stages = config.shards;
@@ -177,54 +222,45 @@ std::uint64_t StreamedFingerprint(const Instance& inst, const Config& config,
   if (bundle.sharded != nullptr) {
     options.router = MakeRegionStageRouter(&bundle.sharded->partitioner());
   }
-  return FingerprintWindowResults(
-      StreamReplay(*bundle.core, inst.stress.events, kStart, kEnd,
-                   config.accumulation_window, options));
+  return FingerprintWindowResults(StreamReplay(
+      *bundle.core, inst.stress.events, inst.start, inst.end, inst.delta,
+      options));
 }
 
 // Gate 2: replay bit-identity across threads × shards × producers, plus
 // K=1 sharded == single engine.
-void GateReplayIdentity(const std::vector<std::string>& scenarios) {
-  const CityProfile profile = CityAProfile(kGateScale);
-  for (const std::string& scenario : scenarios) {
-    const Instance inst = MakeInstance(profile, scenario, /*seed=*/0);
-    const std::uint64_t single = SyncFingerprint(
-        inst, MakeConfig(inst.stress.base.profile, 1, 1, kDefaultCapacity));
-    for (int shards : {1, 4}) {
-      Config base_config = MakeConfig(inst.stress.base.profile, 1, shards,
-                                      kDefaultCapacity);
-      // Sharded even at K=1 so the K=1 == single-engine gate is explicit.
-      const std::uint64_t want =
-          shards == 1 ? single : SyncFingerprint(inst, base_config);
-      for (int threads : {1, 4}) {
-        for (int producers : {1, 4}) {
-          const Config config = MakeConfig(inst.stress.base.profile,
-                                           threads, shards, kDefaultCapacity);
-          const std::uint64_t got = StreamedFingerprint(inst, config,
-                                                        producers);
-          FM_CHECK_MSG(got == want,
-                   "bench_stress: GATE FAILED — scenario '" + scenario +
-                       "' streamed fingerprint diverges at shards=" +
-                       std::to_string(shards) + " threads=" +
-                       std::to_string(threads) + " producers=" +
-                       std::to_string(producers));
-        }
+void GateReplayIdentity(const Instance& inst) {
+  const std::string& scenario = inst.scenario;
+  const std::uint64_t single = SyncFingerprint(inst, MakeConfig(inst, 1, 1));
+  for (int shards : {1, 4}) {
+    // Sharded even at K=1 so the K=1 == single-engine gate is explicit.
+    const std::uint64_t want =
+        shards == 1 ? single
+                    : SyncFingerprint(inst, MakeConfig(inst, 1, shards));
+    for (int threads : {1, 4}) {
+      for (int producers : {1, 4}) {
+        const std::uint64_t got = StreamedFingerprint(
+            inst, MakeConfig(inst, threads, shards), producers);
+        FM_CHECK_MSG(got == want,
+                 "bench_stress: GATE FAILED — scenario '" + scenario +
+                     "' streamed fingerprint diverges at shards=" +
+                     std::to_string(shards) + " threads=" +
+                     std::to_string(threads) + " producers=" +
+                     std::to_string(producers));
       }
-      std::printf(
-          "  gate replay-identity %-12s K=%d fingerprint %016llx over "
-          "threads x producers in {1,4}^2\n",
-          scenario.c_str(), shards, static_cast<unsigned long long>(want));
     }
-    // K=1 sharded core, streamed, must equal the single engine too.
-    const Config k1 = MakeConfig(inst.stress.base.profile, 1, 1,
-                                 kDefaultCapacity);
-    FM_CHECK_MSG(StreamedFingerprint(inst, k1, 1) == single,
-             "bench_stress: GATE FAILED — scenario '" + scenario +
-                 "' K=1 does not match the single engine");
+    std::printf(
+        "  gate replay-identity %-12s K=%d fingerprint %016llx over "
+        "threads x producers in {1,4}^2\n",
+        scenario.c_str(), shards, static_cast<unsigned long long>(want));
   }
+  // K=1 sharded core, streamed, must equal the single engine too.
+  FM_CHECK_MSG(StreamedFingerprint(inst, MakeConfig(inst, 1, 1), 1) == single,
+           "bench_stress: GATE FAILED — scenario '" + scenario +
+               "' K=1 does not match the single engine");
 }
 
-// ---- Part 2: the tail-latency sweep ----
+// ---- Part 2: the serving sweep ----
 
 struct SweepEntry {
   std::string scenario;
@@ -244,43 +280,34 @@ struct SweepEntry {
   std::uint64_t migrations = 0;
   double wall_seconds = 0.0;
   double orders_per_second = 0.0;
-  TailSummary decision;
-  TailSummary order_latency;
   std::uint64_t fingerprint = 0;
 };
 
-SweepEntry RunSweep(const Instance& inst, const std::string& scenario,
-                    double scale, int shards, std::size_t capacity) {
-  const Config config =
-      MakeConfig(inst.stress.base.profile, /*threads=*/1, shards, capacity);
-  StressCore bundle = MakeCore(inst.stress.base.network, *inst.oracle, config,
-                               /*measure_wall_clock=*/true);
+SweepEntry RunSweep(const Instance& inst, double scale, int shards) {
+  const Config config = MakeConfig(inst, /*threads=*/1, shards);
+  StressCore bundle = MakeCore(inst.stress.base.network, *inst.oracle, config);
   StreamReplayStats stats;
   StreamReplayOptions options;
   options.producers = 2;
   options.stages = config.shards;
-  options.queue_capacity = capacity;
+  options.queue_capacity = inst.capacity;
   options.oracle = inst.oracle.get();
   if (bundle.sharded != nullptr) {
     options.router = MakeRegionStageRouter(&bundle.sharded->partitioner());
   }
   options.stats = &stats;
   const std::vector<WindowResult> results = StreamReplay(
-      *bundle.core, inst.stress.events, kStart, kEnd,
-      config.accumulation_window, options);
-
-  LatencyRecorder recorder;
-  recorder.RecordWindows(results);
-  recorder.RecordOrderLatencies(stats.order_latency_seconds);
+      *bundle.core, inst.stress.events, inst.start, inst.end, inst.delta,
+      options);
 
   SweepEntry e;
-  e.scenario = scenario;
+  e.scenario = inst.scenario;
   e.city = inst.stress.base.profile.name;
   e.scale = scale;
   e.shards = shards;
   e.threads = config.threads;
   e.producers = options.producers;
-  e.capacity = capacity;
+  e.capacity = inst.capacity;
   e.events = inst.stress.events.size();
   e.orders = inst.stress.order_events;
   e.burst_orders = inst.stress.burst_orders;
@@ -295,15 +322,13 @@ SweepEntry RunSweep(const Instance& inst, const std::string& scenario,
       stats.wall_seconds > 0.0
           ? static_cast<double>(stats.orders_submitted) / stats.wall_seconds
           : 0.0;
-  e.decision = recorder.DecisionTails();
-  e.order_latency = recorder.OrderTails();
   e.fingerprint = FingerprintWindowResults(results);
   return e;
 }
 
 bool WriteStressJson(const std::string& path,
                      const std::vector<SweepEntry>& entries) {
-  BenchJsonDoc doc("foodmatch-stress-v1", "bench_stress");
+  BenchJsonDoc doc("foodmatch-stress-v2", "bench_stress");
   doc.AddField("gates",
                "{\"log_byte_identity\": true, \"replay_identity\": true, "
                "\"backpressure\": true}");
@@ -317,8 +342,6 @@ bool WriteStressJson(const std::string& path,
         "\"windows\": %zu,\n"
         "     \"blocked_pushes\": %llu, \"migrations\": %llu,\n"
         "     \"wall_seconds\": %.6f, \"orders_per_second\": %.3f,\n"
-        "     \"decision_ms\": %s,\n"
-        "     \"order_latency_ms\": %s,\n"
         "     \"fingerprint\": \"%016llx\"}",
         e.scenario.c_str(), e.city.c_str(), e.scale,
         e.shards, e.threads, e.producers, e.capacity, e.events,
@@ -328,9 +351,7 @@ bool WriteStressJson(const std::string& path,
         static_cast<unsigned long long>(e.retirements), e.windows,
         static_cast<unsigned long long>(e.blocked_pushes),
         static_cast<unsigned long long>(e.migrations), e.wall_seconds,
-        e.orders_per_second, TailSummaryJson(e.decision).c_str(),
-        TailSummaryJson(e.order_latency).c_str(),
-        static_cast<unsigned long long>(e.fingerprint)));
+        e.orders_per_second, static_cast<unsigned long long>(e.fingerprint)));
   }
   return doc.Write(path);
 }
@@ -343,53 +364,66 @@ int Main(int argc, char** argv) {
   }
   const std::string out_path = flags.GetString("out", "BENCH_stress.json");
   PrintBanner(
-      "bench_stress — scenario generator gates + tail-latency sweep",
+      "bench_stress — streaming-serving gates + stress-scenario sweep",
       "production dynamics (§V): skewed demand, surges, flash crowds, "
       "fleet churn — served within the accumulation window");
 
-  std::printf("\n[1/3] determinism gates (CityA 1/%.0f, %g-%gh)\n",
-              kGateScale, kStart / 3600.0, kEnd / 3600.0);
+  std::printf("\n[1/3] determinism gates (CityA 1/%.0f, %g-%gh; plain "
+              "CityA 1/%.0f, %g-%gh)\n",
+              kGateScale, kStart / 3600.0, kEnd / 3600.0, kPlainGateScale,
+              kPlainStart / 3600.0, kPlainEnd / 3600.0);
   GateLogByteIdentity();
   // The replay matrix runs on the scenarios that exercise every event kind:
   // kitchen-sink (all overlays at once), shift-change (churn + id reuse),
-  // flash-crowd (burst volume).
-  GateReplayIdentity({"kitchen-sink", "shift-change", "flash-crowd"});
+  // flash-crowd (burst volume) — and on the plain batch-replay stream,
+  // fmserve's default input.
+  for (const char* scenario : {"kitchen-sink", "shift-change", "flash-crowd"}) {
+    GateReplayIdentity(MakeInstance(CityAProfile(kGateScale), scenario,
+                                    /*seed=*/0, kDefaultCapacity));
+  }
+  GateReplayIdentity(MakePlainInstance(CityAProfile(kPlainGateScale),
+                                       kPlainGateCapacity));
 
-  std::printf("\n[2/3] tail-latency sweep (CityA 1/%.0f; mega-city from "
-              "1/%.0f, kitchen-sink from 1/%.0f)\n",
-              kSweepScale, kMegaCityScale, kKitchenSinkScale);
+  std::printf("\n[2/3] serving sweep (CityA 1/%.0f; mega-city from 1/%.0f, "
+              "kitchen-sink from 1/%.0f; plain CityB 1/%.0f)\n",
+              kSweepScale, kMegaCityScale, kKitchenSinkScale,
+              kPlainSweepScale);
   std::vector<SweepEntry> entries;
-  TablePrinter table({"scenario", "K", "events", "blocked", "migr", "ret",
-                      "dec p50ms", "dec p99ms", "dec p99.9ms", "lat p99ms"});
+  TablePrinter table({"scenario", "K", "events", "windows", "blocked",
+                      "migr", "ret", "wall(s)", "fingerprint"});
+  auto sweep = [&](const Instance& inst, double scale) {
+    for (int shards : {1, 4}) {
+      SweepEntry e = RunSweep(inst, scale, shards);
+      if (inst.capacity == kBoundedCapacity) {
+        // Hard gate: the bounded rows must actually exercise backpressure —
+        // a full staging ring that blocks (never drops) producers.
+        FM_CHECK_MSG(e.blocked_pushes > 0,
+                 "bench_stress: GATE FAILED — scenario '" + inst.scenario +
+                     "' at capacity " + std::to_string(inst.capacity) +
+                     " never blocked a push (backpressure unexercised)");
+      }
+      table.AddRow({e.scenario, Fmt(shards, 0), Fmt(e.events, 0),
+                    Fmt(e.windows, 0), Fmt(e.blocked_pushes, 0),
+                    Fmt(e.migrations, 0), Fmt(e.retirements, 0),
+                    Fmt(e.wall_seconds, 2),
+                    StrFormat("%016llx", static_cast<unsigned long long>(
+                                             e.fingerprint))});
+      entries.push_back(std::move(e));
+    }
+  };
   for (const std::string& scenario : StressScenarioNames()) {
     const bool bounded =
         scenario == "flash-crowd" || scenario == "shift-change";
     const double scale = scenario == "mega-city"      ? kMegaCityScale
                          : scenario == "kitchen-sink" ? kKitchenSinkScale
                                                       : kSweepScale;
-    const std::size_t capacity =
-        bounded ? kBoundedCapacity : kDefaultCapacity;
-    const Instance inst = MakeInstance(CityAProfile(scale), scenario,
-                                       /*seed=*/0);
-    for (int shards : {1, 4}) {
-      SweepEntry e = RunSweep(inst, scenario, scale, shards, capacity);
-      if (bounded) {
-        // Hard gate: the bounded rows must actually exercise backpressure —
-        // a full staging ring that blocks (never drops) producers.
-        FM_CHECK_MSG(e.blocked_pushes > 0,
-                 "bench_stress: GATE FAILED — scenario '" + scenario +
-                     "' at capacity " + std::to_string(capacity) +
-                     " never blocked a push (backpressure unexercised)");
-      }
-      table.AddRow({e.scenario, Fmt(shards, 0), Fmt(e.events, 0),
-                    Fmt(e.blocked_pushes, 0), Fmt(e.migrations, 0),
-                    Fmt(e.retirements, 0), Fmt(e.decision.p50 * 1e3, 2),
-                    Fmt(e.decision.p99 * 1e3, 2),
-                    Fmt(e.decision.p999 * 1e3, 2),
-                    Fmt(e.order_latency.p99 * 1e3, 2)});
-      entries.push_back(std::move(e));
-    }
+    sweep(MakeInstance(CityAProfile(scale), scenario, /*seed=*/0,
+                       bounded ? kBoundedCapacity : kDefaultCapacity),
+          scale);
   }
+  // The plain CityB stream anchors the intake path with no overlay.
+  sweep(MakePlainInstance(CityBProfile(kPlainSweepScale), kDefaultCapacity),
+        kPlainSweepScale);
   table.Print();
 
   std::printf("\n[3/3] report\n");

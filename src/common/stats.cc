@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.h"
-
 namespace fm {
 
 void RunningStats::Add(double x) {
@@ -51,53 +49,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double Percentile(std::vector<double> values, double p) {
-  FM_CHECK(!values.empty());
-  FM_CHECK_GE(p, 0.0);
-  FM_CHECK_LE(p, 100.0);
-  std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values[0];
-  double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  std::size_t lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, values.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double QuantileSorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  FM_CHECK_GE(q, 0.0);
-  FM_CHECK_LE(q, 1.0);
-  const double n = static_cast<double>(sorted.size());
-  // Nearest rank: ⌈q·N⌉, 1-based; q = 0 maps to the first sample.
-  std::size_t rank = static_cast<std::size_t>(std::ceil(q * n));
-  if (rank == 0) rank = 1;
-  if (rank > sorted.size()) rank = sorted.size();
-  return sorted[rank - 1];
-}
-
-TailSummary SummarizeTails(std::vector<double> samples) {
-  TailSummary t;
-  if (samples.empty()) return t;
-  std::sort(samples.begin(), samples.end());
-  t.count = samples.size();
-  double sum = 0.0;
-  for (double v : samples) sum += v;
-  t.mean = sum / static_cast<double>(samples.size());
-  t.max = samples.back();
-  t.p50 = QuantileSorted(samples, 0.50);
-  t.p95 = QuantileSorted(samples, 0.95);
-  t.p99 = QuantileSorted(samples, 0.99);
-  t.p999 = QuantileSorted(samples, 0.999);
-  return t;
-}
-
-double Mean(const std::vector<double>& values) {
-  FM_CHECK(!values.empty());
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
 
 }  // namespace fm

@@ -1,9 +1,8 @@
-// Small statistics helpers used by metrics collection and the bench harness.
+// Streaming summary statistics used by the bench harness.
 #ifndef FOODMATCH_COMMON_STATS_H_
 #define FOODMATCH_COMMON_STATS_H_
 
 #include <cstddef>
-#include <vector>
 
 namespace fm {
 
@@ -30,37 +29,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-// Returns the p-th percentile (p in [0,100]) by linear interpolation.
-// Sorts a copy of `values`; requires non-empty input.
-double Percentile(std::vector<double> values, double p);
-
-// Exact nearest-rank quantile (q in [0,1]) of an ascending-sorted vector:
-// the smallest sample x such that at least ⌈q·N⌉ samples are ≤ x. Unlike
-// the interpolating Percentile above this always returns an observed
-// sample, which is what tail reporting (p99, p99.9) wants. Returns 0 for
-// an empty vector.
-double QuantileSorted(const std::vector<double>& sorted, double q);
-
-// The tail summary every latency reporter emits: exact nearest-rank
-// p50/p95/p99/p99.9 plus count/mean/max. All latency fields are in the
-// unit of the input samples (seconds everywhere in this repo).
-struct TailSummary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double p999 = 0.0;
-};
-
-// Sorts `samples` (by value) and fills a TailSummary. An empty input
-// yields an all-zero summary.
-TailSummary SummarizeTails(std::vector<double> samples);
-
-// Mean of `values`; requires non-empty input.
-double Mean(const std::vector<double>& values);
 
 }  // namespace fm
 

@@ -19,7 +19,7 @@
 // synchronous driver would have fed it, for ANY number of producers, intake
 // stages, and any queue interleaving. Streaming replay is therefore
 // bit-identical to batch replay — asserted by tests/streaming_intake_test.cc
-// and gated in bench_stream_intake. Sequences must be unique per stream
+// and gated in bench_stress. Sequences must be unique per stream
 // (core/engine_event.h).
 //
 // Stage routing: with multiple stages, `router` maps each event to a stage

@@ -83,7 +83,6 @@
 #include "sim/metrics.h"       // IWYU pragma: export
 #include "sim/simulator.h"     // IWYU pragma: export
 #include "sim/trace.h"         // IWYU pragma: export
-#include "stress/latency_recorder.h"  // IWYU pragma: export
 #include "stress/scenario.h"          // IWYU pragma: export
 #include "stress/stress_gen.h"        // IWYU pragma: export
 

@@ -15,7 +15,7 @@
 // ReplayEventStream. The concurrent path (serving/streaming_replay.h)
 // pushes the same stamped stream through intake queues instead and must
 // produce bit-identical WindowResults — the golden streaming gates in
-// tests/streaming_intake_test.cc and bench_stream_intake pin that.
+// tests/streaming_intake_test.cc and bench_stress pin that.
 #ifndef FOODMATCH_SERVING_EVENT_REPLAY_H_
 #define FOODMATCH_SERVING_EVENT_REPLAY_H_
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -58,13 +57,6 @@ struct Watermark {
   std::atomic<double> value{0.0};
 };
 
-// A latency sample the producer records at submit time; the consumer pairs
-// it with the close-completion wall time of the window the order lands in.
-struct SubmitSample {
-  Seconds timestamp = 0.0;
-  double submit_wall = 0.0;  // seconds since the replay epoch
-};
-
 }  // namespace
 
 std::vector<WindowResult> StreamReplay(DispatchCore& core,
@@ -105,8 +97,6 @@ std::vector<WindowResult> StreamReplay(DispatchCore& core,
           static_cast<std::size_t>(options.producers),
           std::max<std::size_t>(submittable, 1)));
   std::vector<Watermark> watermarks(static_cast<std::size_t>(producers));
-  std::vector<std::vector<SubmitSample>> samples(
-      static_cast<std::size_t>(producers));
   std::vector<std::uint64_t> submitted_counts(
       static_cast<std::size_t>(producers), 0);
   std::vector<std::uint64_t> order_counts(static_cast<std::size_t>(producers),
@@ -122,8 +112,6 @@ std::vector<WindowResult> StreamReplay(DispatchCore& core,
     const std::size_t lo = static_cast<std::size_t>(p) * chunk;
     const std::size_t hi = std::min(submittable, lo + chunk);
     Watermark& watermark = watermarks[static_cast<std::size_t>(p)];
-    std::vector<SubmitSample>& my_samples =
-        samples[static_cast<std::size_t>(p)];
     for (std::size_t i = lo; i < hi; ++i) {
       const StampedEvent& event = events[i];
       watermark.value.store(event.timestamp, std::memory_order_release);
@@ -132,13 +120,9 @@ std::vector<WindowResult> StreamReplay(DispatchCore& core,
         while (SecondsSince(epoch) < target) std::this_thread::yield();
       }
       const bool is_order = std::holds_alternative<OrderPlaced>(event.event);
-      const double submit_wall = SecondsSince(epoch);
       if (executor.Submit(event)) {
         ++submitted_counts[static_cast<std::size_t>(p)];
-        if (is_order) {
-          ++order_counts[static_cast<std::size_t>(p)];
-          my_samples.push_back({event.timestamp, submit_wall});
-        }
+        if (is_order) ++order_counts[static_cast<std::size_t>(p)];
       }
     }
     watermark.value.store(std::numeric_limits<double>::infinity(),
@@ -152,7 +136,7 @@ std::vector<WindowResult> StreamReplay(DispatchCore& core,
   }
 
   std::vector<WindowResult> results;
-  std::vector<double> close_walls;  // seconds since epoch, per window
+  double wall_seconds = 0.0;
   {
     // Producer 0 gets its own thread too (the calling thread is purely the
     // consumer): even with producers = 1 the stream must free-run against
@@ -183,11 +167,11 @@ std::vector<WindowResult> StreamReplay(DispatchCore& core,
         std::this_thread::yield();
       }
       results.push_back(executor.CloseWindow(now));
-      close_walls.push_back(SecondsSince(epoch));
       if (options.on_window_closed) {
         options.on_window_closed(now, results.size() - 1);
       }
     }
+    wall_seconds = SecondsSince(epoch);
 
     producer0.join();
   }
@@ -202,21 +186,7 @@ std::vector<WindowResult> StreamReplay(DispatchCore& core,
     }
     stats.dropped_invalid = executor.dropped_invalid();
     stats.blocked_pushes = executor.blocked_pushes();
-    stats.wall_seconds = close_walls.empty() ? 0.0 : close_walls.back();
-    for (const std::vector<SubmitSample>& producer_samples : samples) {
-      for (const SubmitSample& sample : producer_samples) {
-        // The window an order lands in: the first boundary at or after its
-        // timestamp (and never before the first window). The epsilon keeps
-        // exact-boundary stamps in their own window despite fp division.
-        const double k_raw = std::ceil((sample.timestamp - start) / delta -
-                                       1e-9);
-        const std::size_t k = static_cast<std::size_t>(
-            std::max(1.0, k_raw));
-        if (k > close_walls.size()) continue;  // beyond the last window
-        stats.order_latency_seconds.push_back(close_walls[k - 1] -
-                                              sample.submit_wall);
-      }
-    }
+    stats.wall_seconds = wall_seconds;
   }
   return results;
 }

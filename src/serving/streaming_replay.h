@@ -22,7 +22,7 @@
 // the canonical order. StreamReplay is therefore bit-identical to
 // ReplayEventStream over the same events for ANY producer count, stage
 // count, queue capacity, and throttle — the golden gates in
-// tests/streaming_intake_test.cc and bench_stream_intake pin this.
+// tests/streaming_intake_test.cc and bench_stress pin this.
 //
 // Throttling: speedup S > 0 paces ingestion against the wall clock at S
 // event-seconds per wall-second (S = 1 is real time) and holds each window
@@ -59,10 +59,6 @@ struct StreamReplayStats {
   std::uint64_t blocked_pushes = 0;
   // Wall clock from ingest start to the last window close.
   double wall_seconds = 0.0;
-  // One sample per order applied to a window: wall time from the producer's
-  // submit to the return of that order's window close — the intake→decision
-  // latency fmserve reports p50/p95/p99 over. Unsorted.
-  std::vector<double> order_latency_seconds;
 };
 
 struct StreamReplayOptions {

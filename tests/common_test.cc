@@ -152,23 +152,6 @@ TEST(StatsTest, EmptyStatsAreZero) {
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
-TEST(StatsTest, PercentileInterpolates) {
-  std::vector<double> v = {10, 20, 30, 40, 50};
-  EXPECT_DOUBLE_EQ(Percentile(v, 0), 10);
-  EXPECT_DOUBLE_EQ(Percentile(v, 50), 30);
-  EXPECT_DOUBLE_EQ(Percentile(v, 100), 50);
-  EXPECT_DOUBLE_EQ(Percentile(v, 25), 20);
-  EXPECT_DOUBLE_EQ(Percentile(v, 10), 14);
-}
-
-TEST(StatsTest, PercentileSingleElement) {
-  EXPECT_DOUBLE_EQ(Percentile({7.0}, 90), 7.0);
-}
-
-TEST(StatsTest, MeanOfValues) {
-  EXPECT_DOUBLE_EQ(Mean({1.0, 2.0, 3.0}), 2.0);
-}
-
 // ---------- strings ----------
 
 TEST(StringsTest, SplitKeepsEmptyFields) {

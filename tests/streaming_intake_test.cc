@@ -1,10 +1,10 @@
 // The streaming intake/executor split: event pre-validation, the
 // WindowExecutor decorator's bit-identity with the synchronous path, the
 // StreamReplay × ReplayEventStream equivalence for every producer/shard
-// combination (the golden streaming gate), event-log round-trips, retention
-// of future-window events, prestage counters, and inline backpressure
-// resolution on the consumer thread. The multi-threaded cases run under
-// ThreadSanitizer in CI.
+// combination, flat out and paced (the golden streaming gate), event-log
+// round-trips, retention of future-window events, prestage counters, and
+// inline backpressure resolution on the consumer thread. The multi-threaded
+// cases run under ThreadSanitizer in CI.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -334,29 +334,38 @@ TEST(StreamingEquivalenceTest, BitIdenticalAcrossProducersAndShards) {
     const std::vector<WindowResult> expected =
         ReplayEventStream(*batch_core, source, start, end, delta);
 
+    // Flat out, and paced so the 1 800 s horizon replays in ~0.1 s of wall
+    // clock (fmserve --speedup): pacing only moves wall time, never results.
     for (const int producers : {1, 4}) {
-      SCOPED_TRACE("producers " + std::to_string(producers));
-      std::unique_ptr<AssignmentPolicy> policy;
-      std::unique_ptr<DispatchEngine> engine;
-      std::unique_ptr<ShardedDispatchEngine> sharded;
-      DispatchCore* core = make_core(&policy, &engine, &sharded);
+      for (const double speedup : {0.0, 18000.0}) {
+        SCOPED_TRACE("producers " + std::to_string(producers) + " speedup " +
+                     std::to_string(speedup));
+        std::unique_ptr<AssignmentPolicy> policy;
+        std::unique_ptr<DispatchEngine> engine;
+        std::unique_ptr<ShardedDispatchEngine> sharded;
+        DispatchCore* core = make_core(&policy, &engine, &sharded);
 
-      StreamReplayStats stats;
-      StreamReplayOptions options;
-      options.producers = producers;
-      options.stages = shards;
-      options.queue_capacity = 32;  // small rings: exercise backpressure
-      options.prestage = true;
-      options.oracle = &oracle;
-      if (shards > 1) options.router = MakeRegionStageRouter(&partitioner);
-      options.stats = &stats;
-      const std::vector<WindowResult> streamed =
-          StreamReplay(*core, events, start, end, delta, options);
-      ExpectWindowResultsEqual(expected, streamed);
-      EXPECT_EQ(stats.events_submitted, events.size());
-      EXPECT_EQ(stats.orders_submitted, s.orders.size());
-      EXPECT_EQ(stats.dropped_invalid, 0u);
-      EXPECT_EQ(stats.order_latency_seconds.size(), s.orders.size());
+        StreamReplayStats stats;
+        StreamReplayOptions options;
+        options.producers = producers;
+        options.stages = shards;
+        options.queue_capacity = 32;  // small rings: exercise backpressure
+        options.prestage = true;
+        options.oracle = &oracle;
+        if (shards > 1) options.router = MakeRegionStageRouter(&partitioner);
+        options.speedup = speedup;
+        options.stats = &stats;
+        const std::vector<WindowResult> streamed =
+            StreamReplay(*core, events, start, end, delta, options);
+        ExpectWindowResultsEqual(expected, streamed);
+        EXPECT_EQ(stats.events_submitted, events.size());
+        EXPECT_EQ(stats.orders_submitted, s.orders.size());
+        EXPECT_EQ(stats.dropped_invalid, 0u);
+        // The last window closes no earlier than its paced boundary.
+        if (speedup > 0.0) {
+          EXPECT_GE(stats.wall_seconds, (end - start) / speedup);
+        }
+      }
     }
   }
 }

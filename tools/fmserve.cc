@@ -5,9 +5,11 @@
 // the system: producer threads push a timestamped event log through the
 // lock-free intake stages (core/intake_stage.h) while the consumer closes
 // accumulation windows behind a WindowExecutor — optionally over a
-// region-sharded core. It reports the numbers a capacity planner wants:
-// sustained orders/second through intake, intake→decision latency
-// percentiles, and backpressure counts.
+// region-sharded core. It reports sustained orders/second through intake,
+// backpressure counts and the window-results fingerprint. Window decision
+// time is the engine.decision_seconds histogram (--metrics-out) and the
+// per-phase profile (--profile); open-loop placed→decision latency under
+// a stated arrival rate is perfbench's job (perfbench/README.md).
 //
 // The stream is the canonical static-fleet batch-replay stream (every
 // vehicle announced at start, one OrderPlaced per order) — either
@@ -210,11 +212,6 @@ int Main(int argc, char** argv) {
       StreamReplay(*serving.core, events, start, end, delta, stream_options);
   const std::uint64_t fingerprint = FingerprintWindowResults(results);
 
-  LatencyRecorder recorder;
-  recorder.RecordWindows(results);
-  recorder.RecordOrderLatencies(stats.order_latency_seconds);
-  const TailSummary order_tails = recorder.OrderTails();
-  const TailSummary decision_tails = recorder.DecisionTails();
   const double orders_per_second =
       stats.wall_seconds > 0.0
           ? static_cast<double>(stats.orders_submitted) / stats.wall_seconds
@@ -227,17 +224,8 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.events_submitted),
       static_cast<unsigned long long>(stats.dropped_invalid),
       static_cast<unsigned long long>(stats.blocked_pushes));
-  std::printf(
-      "sustained %.0f orders/s over %.3f s; intake→decision latency "
-      "p50=%.1f ms p95=%.1f ms p99=%.1f ms p99.9=%.1f ms\n",
-      orders_per_second, stats.wall_seconds, order_tails.p50 * 1e3,
-      order_tails.p95 * 1e3, order_tails.p99 * 1e3, order_tails.p999 * 1e3);
-  std::printf(
-      "window decision time p50=%.1f ms p95=%.1f ms p99=%.1f ms "
-      "p99.9=%.1f ms max=%.1f ms\n",
-      decision_tails.p50 * 1e3, decision_tails.p95 * 1e3,
-      decision_tails.p99 * 1e3, decision_tails.p999 * 1e3,
-      decision_tails.max * 1e3);
+  std::printf("sustained %.0f orders/s over %.3f s\n", orders_per_second,
+              stats.wall_seconds);
   std::printf("window-results fingerprint: %016llx\n",
               static_cast<unsigned long long>(fingerprint));
 
@@ -278,7 +266,7 @@ int Main(int argc, char** argv) {
     std::fprintf(
         f,
         "{\n"
-        "  \"schema\": \"foodmatch-fmserve-v2\",\n"
+        "  \"schema\": \"foodmatch-fmserve-v3\",\n"
         "  \"city\": \"%s\", \"scale\": %.0f, \"policy\": \"%s\",\n"
         "  \"scenario\": \"%s\",\n"
         "  \"shards\": %d, \"threads\": %d, \"producers\": %d,\n"
@@ -287,8 +275,6 @@ int Main(int argc, char** argv) {
         "  \"events_submitted\": %llu, \"dropped_invalid\": %llu,\n"
         "  \"blocked_pushes\": %llu,\n"
         "  \"wall_seconds\": %.6f, \"orders_per_second\": %.3f,\n"
-        "  \"order_latency_ms\": %s,\n"
-        "  \"decision_ms\": %s,\n"
         "  \"fingerprint\": \"%016llx\"\n"
         "}\n",
         spec.city.name.c_str(), spec.scale, spec.policy.c_str(),
@@ -301,8 +287,6 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.dropped_invalid),
         static_cast<unsigned long long>(stats.blocked_pushes),
         stats.wall_seconds, orders_per_second,
-        TailSummaryJson(order_tails).c_str(),
-        TailSummaryJson(decision_tails).c_str(),
         static_cast<unsigned long long>(fingerprint));
     std::fclose(f);
     std::printf("report json: %s\n", out.c_str());
