@@ -16,7 +16,10 @@
 //      BENCH_profile.json. `footprint_replays` / `footprint_rebuilds` and
 //      the builds' `nodes_expanded` / `mcost_evaluations` are pure functions
 //      of the event stream (equal for 1 and 4 lanes), and
-//      tools/check_bench_regression.py holds them to the anchor exactly.
+//      tools/check_bench_regression.py holds them to the anchor exactly. So
+//      it does the cache's resident state at run end, `memo_entries` (summed
+//      over shards) and `footprint_visits`, which are deterministic for a
+//      given lane count: any growth fails the check.
 //
 // Comparability with BENCH_profile.json: the runs use the same 11h–14h
 // horizon as the profiled bench_fig6fgh rows, and `graph_share` is computed
@@ -180,7 +183,9 @@ bool WriteReport(const std::string& path,
           "        \"duration_memo_hits\": %llu,\n"
           "        \"duration_memo_misses\": %llu,\n"
           "        \"nodes_expanded\": %llu,\n"
-          "        \"mcost_evaluations\": %llu\n"
+          "        \"mcost_evaluations\": %llu,\n"
+          "        \"memo_entries\": %llu,\n"
+          "        \"footprint_visits\": %llu\n"
           "      }",
           static_cast<unsigned long long>(c.footprint_replays),
           static_cast<unsigned long long>(c.footprint_rebuilds),
@@ -188,7 +193,9 @@ bool WriteReport(const std::string& path,
           static_cast<unsigned long long>(c.duration_memo_hits),
           static_cast<unsigned long long>(c.duration_memo_misses),
           static_cast<unsigned long long>(c.nodes_expanded),
-          static_cast<unsigned long long>(c.mcost_evaluations));
+          static_cast<unsigned long long>(c.mcost_evaluations),
+          static_cast<unsigned long long>(c.memo_entries),
+          static_cast<unsigned long long>(c.footprint_visits));
     }
     entry += "\n    }";
     doc.AddEntry(std::move(entry));

@@ -41,10 +41,11 @@ std::vector<VehicleCacheEntry*> EdgeCache::BeginWindow(
   return slots;
 }
 
-void EdgeCache::EnsureShards(int shards) {
+void EdgeCache::PrepareMemos(int shards, int slot) {
   while (memos_.size() < static_cast<std::size_t>(std::max(shards, 1))) {
     memos_.push_back(std::make_unique<DurationMemo>());
   }
+  for (auto& memo : memos_) memo->RetirePastSlots(slot);
 }
 
 EdgeCacheStats EdgeCache::AggregatedStats() const {
@@ -52,6 +53,10 @@ EdgeCacheStats EdgeCache::AggregatedStats() const {
   for (const auto& memo : memos_) {
     out.duration_memo_hits += memo->hits();
     out.duration_memo_misses += memo->misses();
+    out.memo_entries += memo->size();
+  }
+  for (const auto& [vehicle, entry] : entries_) {
+    out.footprint_visits += entry->footprint.visits.size();
   }
   return out;
 }

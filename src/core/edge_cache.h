@@ -10,22 +10,30 @@
 //      vehicle depends only on (source, next-destination, hour slot): the
 //      queue is driven by the α-weights of Eq. 8, which never look at the
 //      batch set, and the batch set / degree bound k only decide where the
-//      search *stops*. The cache therefore records the visit sequence and
-//      replays it on the next window. A replayed prefix yields bit-identical
-//      visits, β-bounds and therefore edges and `nodes_expanded` counts. A
-//      replay that needs a deeper prefix than was recorded re-runs the
-//      search from the source (counted as a rebuild).
+//      search *stops*. The cache therefore records the settled node ids in
+//      visit order and replays them on the next window. A replayed prefix
+//      yields bit-identical visits and therefore edges and `nodes_expanded`
+//      counts. No β label is kept: the search labels a node only while its β
+//      is within the first-mile bound, so every recorded visit passes the
+//      starts-scan's bound test. A replay that needs a deeper prefix than
+//      was recorded re-runs the search from the source (counted as a
+//      rebuild).
 //
 //   2. Duration memos — exact per-shard memos of oracle answers keyed
 //      (u, v, slot) (see DurationMemo), shared by every planner call the
 //      incremental build issues. A memo replays the oracle's own answers,
-//      so it is invisible in results.
+//      so it is invisible in results. Once per build, PrepareMemos retires
+//      the slots the build's clock has left, keeping the trailing one;
+//      a retired entry can only turn a later hit into a miss that asks the
+//      oracle the same question.
 //
 // Invalidation: footprints carry their own validity key (source, dest,
 // slot), checked at use time, so order-set changes never invalidate them.
 // Entries are freed by the OnVehicleRetired hook the DispatchEngine fires on
 // retirement, and garbage-collected after kRetainBuilds builds without the
-// vehicle, which bounds resident footprint state.
+// vehicle, which bounds resident footprint state. Slot retirement keeps
+// only the memo entries of the trailing slot, the current one and the
+// slots ahead of the clock.
 //
 // Determinism: entries are keyed per vehicle and each vehicle is owned by
 // exactly one shard of the statically sharded build, so cache state after
@@ -60,21 +68,16 @@ struct EdgeCacheStats {
   // gate them exactly.
   std::uint64_t nodes_expanded = 0;
   std::uint64_t mcost_evaluations = 0;
+  // Resident state when AggregatedStats() is taken, not running totals:
+  // memo entries summed over shards, and recorded footprint visits.
+  std::uint64_t memo_entries = 0;
+  std::uint64_t footprint_visits = 0;
 };
 
-// One settled node of a recorded best-first search, in visit order. `beta`
-// is the β-distance label at settlement time — frozen from then on, and
-// exactly the value the starts-scan of Alg. 2 compares against the
-// first-mile bound.
-struct SearchVisit {
-  NodeId node = kInvalidNode;
-  Seconds beta = 0.0;
-};
-
-// The recorded visit sequence of one vehicle's best-first search. Valid only
-// for the exact (source, dest, slot) it was built for — everything else the
-// search reads (network, γ, the first-mile bound) is fixed per policy
-// instance.
+// The settled node ids of one vehicle's best-first search, in visit order.
+// Valid only for the exact (source, dest, slot) it was built for —
+// everything else the search reads (network, γ, the first-mile bound) is
+// fixed per policy instance.
 struct SearchFootprint {
   NodeId source = kInvalidNode;
   NodeId dest = kInvalidNode;
@@ -82,7 +85,7 @@ struct SearchFootprint {
   // True when the frontier drained: the visit list is the complete
   // reachable-within-bound set and can never be extended.
   bool exhausted = false;
-  std::vector<SearchVisit> visits;
+  std::vector<NodeId> visits;
 
   void Reset(NodeId new_source, NodeId new_dest, int new_slot);
   bool Matches(NodeId s, NodeId d, int sl) const {
@@ -100,7 +103,7 @@ struct VehicleCacheEntry {
 /// \brief Per-policy registry of VehicleCacheEntry + per-shard DurationMemos.
 ///
 /// Thread safety: all mutating registry operations (hooks, BeginWindow,
-/// EnsureShards) run on the policy thread between builds. During a build,
+/// PrepareMemos) run on the policy thread between builds. During a build,
 /// shards touch only the entries of vehicles they own (pointers pre-fetched
 /// by BeginWindow) and their own memo — no shared mutable state.
 ///
@@ -118,12 +121,14 @@ class EdgeCache {
   std::vector<VehicleCacheEntry*> BeginWindow(
       const std::vector<VehicleSnapshot>& vehicles);
 
-  // Pre-sizes the per-shard memo set; call before the parallel region.
-  void EnsureShards(int shards);
+  // Pre-sizes the per-shard memo set and retires every memo's past hour
+  // slots for a build at `slot` (DurationMemo::RetirePastSlots); call once
+  // per build, before the parallel region.
+  void PrepareMemos(int shards, int slot);
   DurationMemo& memo_for_shard(int shard) { return *memos_[shard]; }
 
   EdgeCacheStats& stats() { return stats_; }
-  // Stats with the per-shard memo counters folded in.
+  // Stats with the per-shard memo counters and the resident state folded in.
   EdgeCacheStats AggregatedStats() const;
 
   std::size_t entry_count() const { return entries_.size(); }

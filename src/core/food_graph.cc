@@ -239,7 +239,7 @@ struct LiveSearch {
     if (!heap.empty()) SiftDown(0);
     visit_stamp[u] = stamp;
     const Seconds ubeta = beta[u];
-    fp.visits.push_back({u, ubeta});
+    fp.visits.push_back(u);
 
     for (EdgeId e : net.OutEdges(u)) {
       const NodeId v = net.edge_head(e);
@@ -329,12 +329,14 @@ FoodGraph BuildIncrementalSparsified(const DistanceOracle& oracle,
   if (batches.empty() || vehicles.empty()) return graph;
   const int k = DeriveK(config, options, batches.size(), vehicles.size());
   const std::vector<VehicleCacheEntry*> entries = cache.BeginWindow(vehicles);
+  const int slot = HourSlot(now);
+  const int shards = std::max(ShardCount(pool, vehicles.size()), 1);
+  cache.PrepareMemos(shards, slot);
 
   StartIndex starts = BuildStartIndex(batches);
   if (starts.empty()) return graph;
   starts.BuildFlat(net.num_nodes());
 
-  const int slot = HourSlot(now);
   const Seconds max_beta = net.MaxEdgeTime(slot);
   const double gamma = options.angular ? config.gamma : 1.0;
 
@@ -373,15 +375,17 @@ FoodGraph BuildIncrementalSparsified(const DistanceOracle& oracle,
         }
         if (!search.Settle(fp)) break;
       }
-      const SearchVisit visit = fp.visits[next_visit++];
+      const NodeId node = fp.visits[next_visit++];
       ++local.nodes_expanded;
 
-      const auto [row_begin, row_end] = starts.RowsAt(visit.node);
+      // No first-mile test: Settle labels a node only while its β is within
+      // max_first_mile, which Config::Validate keeps positive for the
+      // source. The scratch search keeps the explicit test.
+      const auto [row_begin, row_end] = starts.RowsAt(node);
       for (const std::uint32_t* it = row_begin; it != row_end; ++it) {
         const std::size_t i = *it;
         if (degree >= k) break;
         if (!SatisfiesCapacity(config, batches[i], vehicle)) continue;
-        if (visit.beta > config.max_first_mile) continue;
         ++local.mcost_evaluations;
         graph.cost.set(i, j, PairWeight(oracle, config, batches[i], vehicle,
                                         now, base, &memo));
@@ -390,8 +394,6 @@ FoodGraph BuildIncrementalSparsified(const DistanceOracle& oracle,
     }
   };
 
-  const int shards = std::max(ShardCount(pool, vehicles.size()), 1);
-  cache.EnsureShards(shards);
   std::vector<ShardCounters> counters(static_cast<std::size_t>(shards));
   ParallelForShards(
       pool, vehicles.size(),
@@ -423,7 +425,7 @@ FoodGraph BuildIncrementalFull(const DistanceOracle& oracle,
   if (batches.empty() || vehicles.empty()) return graph;
 
   const int shards = std::max(ShardCount(pool, vehicles.size()), 1);
-  cache.EnsureShards(shards);
+  cache.PrepareMemos(shards, HourSlot(now));
   std::vector<ShardCounters> counters(static_cast<std::size_t>(shards));
   ParallelForShards(
       pool, vehicles.size(),

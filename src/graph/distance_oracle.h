@@ -132,42 +132,76 @@ class DistanceOracle {
 /// purely an optimization. Because a query's answer depends on the time of
 /// day only through HourSlot(t), one entry per (u, v, slot) is exact.
 ///
+/// Retirement: entries live in one table per hour slot, and RetirePastSlots
+/// drops the tables the clock has left. Slot `now_slot - 1` (the trailing
+/// slot) is kept, because legs keyed on an order's `placed_at` (the
+/// ShortestDeliveryTime term) still read it; slots ahead of the clock are
+/// kept, because a plan's later legs are keyed on their arrival times. Times
+/// wrap at midnight, so "behind" means the half day before the trailing
+/// slot. Dropping an entry can only turn a later hit into a miss that asks
+/// the oracle the same question, so retirement is as value-transparent as
+/// the memo itself.
+///
 /// Thread safety: none. Callers in sharded loops keep one memo per shard
 /// (determinism is unaffected either way: hit or miss, the value returned
 /// is the oracle's).
 ///
-/// Complexity: O(1) expected per query; the table self-clears when it
-/// exceeds `kCap` entries so long services stay bounded.
+/// Complexity: O(1) expected per query; RetirePastSlots is O(retired
+/// entries) when the slot advances and O(1) otherwise. As a backstop the
+/// memo clears itself when it reaches `cap` entries (kCap unless a test
+/// shrinks it).
 class DurationMemo {
  public:
+  static constexpr std::size_t kCap = 1u << 22;
+
+  explicit DurationMemo(std::size_t cap = kCap) : cap_(cap) {}
+
   Seconds Duration(const DistanceOracle& oracle, NodeId u, NodeId v,
                    Seconds time_of_day) {
+    auto& table = tables_[HourSlot(time_of_day)];
     const std::uint64_t key =
-        (static_cast<std::uint64_t>(u) * oracle.network().num_nodes() +
-         static_cast<std::uint64_t>(v)) *
-            kSlotsPerDay +
-        static_cast<std::uint64_t>(HourSlot(time_of_day));
-    auto it = map_.find(key);
-    if (it != map_.end()) {
+        static_cast<std::uint64_t>(u) * oracle.network().num_nodes() +
+        static_cast<std::uint64_t>(v);
+    auto it = table.find(key);
+    if (it != table.end()) {
       ++hits_;
       return it->second;
     }
     ++misses_;
     const Seconds d = oracle.Duration(u, v, time_of_day);
-    if (map_.size() >= kCap) map_.clear();
-    map_.emplace(key, d);
+    if (size() >= cap_) Clear();
+    table.emplace(key, d);
     return d;
   }
 
-  void Clear() { map_.clear(); }
-  std::size_t size() const { return map_.size(); }
+  /// Drops every entry keyed to a slot behind `now_slot`'s trailing slot
+  /// (see the class comment). A no-op until `now_slot` changes.
+  void RetirePastSlots(int now_slot) {
+    if (now_slot == clock_slot_) return;
+    clock_slot_ = now_slot;
+    for (int behind = 2; behind <= kSlotsPerDay / 2; ++behind) {
+      Table& table = tables_[(now_slot - behind + kSlotsPerDay) % kSlotsPerDay];
+      if (!table.empty()) Table().swap(table);  // frees the buckets too
+    }
+  }
+
+  void Clear() {
+    for (Table& table : tables_) Table().swap(table);
+  }
+  std::size_t size() const {
+    std::size_t total = 0;
+    for (const Table& table : tables_) total += table.size();
+    return total;
+  }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
 
  private:
-  static constexpr std::size_t kCap = 1u << 22;
+  using Table = std::unordered_map<std::uint64_t, Seconds>;  // (u, v) → SP
 
-  std::unordered_map<std::uint64_t, Seconds> map_;
+  std::size_t cap_;
+  std::array<Table, kSlotsPerDay> tables_;
+  int clock_slot_ = -1;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -129,6 +129,21 @@ void ShardedDispatchEngine::RegisterMetrics() {
         return sum_edge_stats(&EdgeCacheStats::duration_memo_misses);
       },
       this);
+  reg.RegisterCallbackGauge(
+      "graph.edge_cache.memo_entries", "resident duration memo entries",
+      [sum_edge_stats] {
+        return static_cast<double>(
+            sum_edge_stats(&EdgeCacheStats::memo_entries));
+      },
+      this);
+  reg.RegisterCallbackGauge(
+      "graph.edge_cache.footprint_visits",
+      "resident recorded search-footprint visits",
+      [sum_edge_stats] {
+        return static_cast<double>(
+            sum_edge_stats(&EdgeCacheStats::footprint_visits));
+      },
+      this);
   // Durability: WAL byte/rotation/sync counters (thin reads of the
   // writers' own instruments) plus the shared fsync-latency histogram.
   if (!durability_.empty()) {

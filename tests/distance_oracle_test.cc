@@ -1,4 +1,6 @@
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +157,107 @@ TEST(DistanceOracleTest, DijkstraCacheIsConsistent) {
   const Seconds second = oracle.Duration(3, 17, 1000.0);
   EXPECT_DOUBLE_EQ(first, second);
   EXPECT_DOUBLE_EQ(first, PointToPointTime(net, 3, 17, 0));
+}
+
+// DurationMemo slot retirement. The memo is keyed by HourSlot, so a query
+// at hour h + 0.5 lands in slot h.
+Seconds AtSlot(int slot) { return (slot + 0.5) * kSecondsPerSlot; }
+
+TEST(DurationMemoTest, AnswersAreTheOraclesBeforeAndAfterRetirement) {
+  Rng rng(91);
+  RoadNetwork net =
+      testing::RandomConnectedNetwork(rng, 40, 120, /*time_varying=*/true);
+  DistanceOracle oracle(&net, OracleBackend::kDijkstra);
+  DurationMemo memo;
+  Rng pick(92);
+  std::vector<std::tuple<NodeId, NodeId, Seconds>> queries;
+  for (int trial = 0; trial < 200; ++trial) {
+    const NodeId u = static_cast<NodeId>(pick.UniformInt(net.num_nodes()));
+    const NodeId v = static_cast<NodeId>(pick.UniformInt(net.num_nodes()));
+    const int slot = 8 + static_cast<int>(pick.UniformInt(6));
+    queries.emplace_back(u, v, AtSlot(slot));
+  }
+  const auto check_all = [&] {
+    for (const auto& [u, v, t] : queries) {
+      // Bitwise: hit or miss, the memo returns the oracle's own answer.
+      ASSERT_EQ(memo.Duration(oracle, u, v, t), oracle.Duration(u, v, t));
+    }
+  };
+  check_all();
+  memo.RetirePastSlots(12);
+  check_all();
+  memo.RetirePastSlots(14);
+  check_all();
+  EXPECT_GT(memo.hits(), 0u);
+}
+
+TEST(DurationMemoTest, RetirementDropsPastSlotsAndKeepsTheTrailingOne) {
+  RoadNetwork net = testing::LineNetwork(5);
+  DistanceOracle oracle(&net, OracleBackend::kHaversine);
+  DurationMemo memo;
+  for (int slot = 9; slot <= 14; ++slot) {
+    memo.Duration(oracle, 0, 4, AtSlot(slot));
+  }
+  EXPECT_EQ(memo.size(), 6u);
+  EXPECT_EQ(memo.misses(), 6u);
+
+  // Clock at 12: slots 9–10 are behind, 11 trails, 12–14 are current/ahead.
+  memo.RetirePastSlots(12);
+  EXPECT_EQ(memo.size(), 4u);
+  for (int slot = 11; slot <= 14; ++slot) {
+    memo.Duration(oracle, 0, 4, AtSlot(slot));
+  }
+  EXPECT_EQ(memo.hits(), 4u);
+  memo.Duration(oracle, 0, 4, AtSlot(10));  // retired: asks the oracle again
+  EXPECT_EQ(memo.misses(), 7u);
+
+  // Same slot again is a no-op, even for the slot-10 entry just re-added.
+  memo.RetirePastSlots(12);
+  EXPECT_EQ(memo.size(), 5u);
+
+  // Clock at 13: 10 and 11 are now behind, 12 trails.
+  memo.RetirePastSlots(13);
+  EXPECT_EQ(memo.size(), 3u);
+  const std::uint64_t hits = memo.hits();
+  for (int slot = 12; slot <= 14; ++slot) {
+    memo.Duration(oracle, 0, 4, AtSlot(slot));
+  }
+  EXPECT_EQ(memo.hits(), hits + 3);
+}
+
+TEST(DurationMemoTest, RetirementWrapsFromSlot23ToSlot0) {
+  RoadNetwork net = testing::LineNetwork(5);
+  DistanceOracle oracle(&net, OracleBackend::kHaversine);
+  DurationMemo memo;
+  for (int slot : {21, 22, 23, 0, 1}) {
+    memo.Duration(oracle, 1, 3, AtSlot(slot));
+  }
+  memo.RetirePastSlots(23);  // 21 is behind; 22 trails; 0 and 1 are ahead
+  EXPECT_EQ(memo.size(), 4u);
+  memo.RetirePastSlots(0);   // 22 is behind now; 23 trails
+  EXPECT_EQ(memo.size(), 3u);
+  for (int slot : {23, 0, 1}) memo.Duration(oracle, 1, 3, AtSlot(slot));
+  EXPECT_EQ(memo.hits(), 3u);
+  // Times past midnight wrap into the same slots.
+  memo.Duration(oracle, 1, 3, kSecondsPerDay + AtSlot(0));
+  EXPECT_EQ(memo.hits(), 4u);
+}
+
+TEST(DurationMemoTest, CapClearsTheWholeMemo) {
+  RoadNetwork net = testing::LineNetwork(5);
+  DistanceOracle oracle(&net, OracleBackend::kHaversine);
+  DurationMemo memo(/*cap=*/3);
+  memo.Duration(oracle, 0, 1, AtSlot(12));
+  memo.Duration(oracle, 0, 2, AtSlot(12));
+  memo.Duration(oracle, 0, 3, AtSlot(13));
+  EXPECT_EQ(memo.size(), 3u);
+  // The fourth entry finds the memo full: it clears, then stores the new one.
+  memo.Duration(oracle, 0, 4, AtSlot(14));
+  EXPECT_EQ(memo.size(), 1u);
+  memo.Duration(oracle, 0, 1, AtSlot(12));
+  EXPECT_EQ(memo.hits(), 0u);
+  EXPECT_EQ(memo.misses(), 5u);
+  EXPECT_EQ(DurationMemo::kCap, std::size_t{1} << 22);
 }
 
 }  // namespace

@@ -132,6 +132,10 @@ struct ScenarioShape {
   // its twin (another node at the same LatLon), so the angular term's
   // source == dest and source == candidate branches fire.
   std::function<NodeId(NodeId)> twin;
+  // Window w closes at first_window + w · window_spacing.
+  Seconds first_window = 12 * 3600.0;
+  Seconds window_spacing = 180.0;
+  Seconds max_first_mile = Config().max_first_mile;
 };
 
 ScenarioShape RandomCityShape(bool time_varying, bool best_first) {
@@ -156,6 +160,7 @@ void RunDifferentialScenario(std::uint64_t seed, const ScenarioShape& shape) {
   DistanceOracle oracle(&net, OracleBackend::kDijkstra);
   Config config;
   config.threads = 1;
+  config.max_first_mile = shape.max_first_mile;
   FoodGraphOptions options;
   options.best_first = shape.best_first;
   options.angular = shape.angular;
@@ -179,7 +184,7 @@ void RunDifferentialScenario(std::uint64_t seed, const ScenarioShape& shape) {
   OrderId next_order = 1000;
   VehicleId next_vehicle = 100;
   for (int window = 0; window < 7; ++window) {
-    const Seconds now = 12 * 3600.0 + 180.0 * window;
+    const Seconds now = shape.first_window + shape.window_spacing * window;
 
     // Mutate the fleet.
     for (VehicleSnapshot& v : vehicles) {
@@ -352,6 +357,33 @@ TEST(FoodGraphIncrementalTest, TiedCutoffFavoursLowerNodeIds) {
   ExpectGraphsEqual(BuildFoodGraph(oracle, config, options, batches, fleet,
                                    now, &pool, &cache_pooled),
                     scratch, "tie-4lane", 0);
+}
+
+// Windows 30 min apart from 22:30 cross the 23:00, midnight and 01:00
+// hour-slot boundaries, so each build's PrepareMemos retires memo slots
+// (including across the 23 → 0 wrap) while orders placed in earlier slots
+// are still on board. Both constructions go through the memos.
+TEST(FoodGraphIncrementalTest, MatchesScratchAcrossHourSlotBoundaries) {
+  for (bool best_first : {true, false}) {
+    ScenarioShape shape = RandomCityShape(/*time_varying=*/true, best_first);
+    shape.first_window = 22.5 * 3600.0;
+    shape.window_spacing = 1800.0;
+    for (std::uint64_t seed : {51ull, 52ull}) {
+      RunDifferentialScenario(seed, shape);
+    }
+  }
+}
+
+// A 120 s first-mile bound (a couple of edges) prunes most of every search:
+// replayed footprints must still give exactly the scratch build's edges
+// without re-testing the bound per visit.
+TEST(FoodGraphIncrementalTest, SparsifiedMatchesScratchUnderTightFirstMile) {
+  for (std::uint64_t seed : {61ull, 62ull, 63ull}) {
+    ScenarioShape shape = RandomCityShape(/*time_varying=*/true,
+                                          /*best_first=*/true);
+    shape.max_first_mile = 120.0;
+    RunDifferentialScenario(seed, shape);
+  }
 }
 
 TEST(FoodGraphIncrementalTest, FullGraphMatchesScratchOnRandomWindows) {

@@ -2,8 +2,8 @@
 // boundaries, out-of-bbox clamping), ShardedDispatchEngine event routing
 // (order ownership, vehicle migration + in-flight pinning), the K=1
 // bit-for-bit equivalence gate against a single DispatchEngine, K>1
-// determinism across thread counts, and rolling-horizon bounded state with
-// retirement events.
+// determinism across thread counts, the EdgeCache resident-state gauges, and
+// rolling-horizon bounded state with retirement events.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -13,9 +13,12 @@
 #include <gtest/gtest.h>
 
 #include "core/dispatch_engine.h"
+#include "core/edge_cache.h"
+#include "core/matching_policy.h"
 #include "core/policy_registry.h"
 #include "gen/city_gen.h"
 #include "graph/distance_oracle.h"
+#include "obs/metrics_registry.h"
 #include "serving/event_replay.h"
 #include "serving/region_partitioner.h"
 #include "serving/sharded_dispatch_engine.h"
@@ -408,6 +411,53 @@ TEST(ShardedDeterminismTest, MergedResultsIdenticalAcrossThreadCounts) {
     };
     ExpectWindowResultsEqual(run(1), run(4));
   }
+}
+
+// The EdgeCache instruments read every shard's cache at snapshot time: the
+// resident-state gauges equal the shards' AggregatedStats summed.
+TEST(ShardedMetricsTest, EdgeCacheGaugesSumTheShardCaches) {
+  Scenario s = MakeScenario(8642, 8, 60, 1800.0);
+  DistanceOracle oracle(&s.network, OracleBackend::kDijkstra);
+  const int shards = 2;
+  GridRegionPartitioner partitioner(&s.network, shards);
+  Config config;
+  config.accumulation_window = 120.0;
+  config.shards = shards;
+  obs::MetricsRegistry registry;
+  ShardedEngineOptions options;
+  options.engine.measure_wall_clock = false;
+  options.metrics = &registry;
+  ShardedDispatchEngine sharded(&partitioner, "foodmatch", &oracle, config,
+                                PolicyOptions{}, options);
+  DriveScenario(sharded, s, 120.0, 1800.0);
+
+  EdgeCacheStats want;
+  for (int sh = 0; sh < shards; ++sh) {
+    const auto* matching =
+        dynamic_cast<const MatchingPolicy*>(sharded.shard(sh).policy());
+    ASSERT_NE(matching, nullptr);
+    const EdgeCacheStats stats = matching->edge_cache()->AggregatedStats();
+    want.memo_entries += stats.memo_entries;
+    want.footprint_visits += stats.footprint_visits;
+  }
+  EXPECT_GT(want.memo_entries, 0u);
+  EXPECT_GT(want.footprint_visits, 0u);
+
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  const auto gauge = [&](const std::string& name) {
+    for (const obs::InstrumentValue& v : snap.instruments) {
+      if (v.name == name) {
+        EXPECT_EQ(v.kind, obs::InstrumentKind::kGauge) << name;
+        return v.gauge;
+      }
+    }
+    ADD_FAILURE() << "missing instrument " << name;
+    return -1.0;
+  };
+  EXPECT_EQ(gauge("graph.edge_cache.memo_entries"),
+            static_cast<double>(want.memo_entries));
+  EXPECT_EQ(gauge("graph.edge_cache.footprint_visits"),
+            static_cast<double>(want.footprint_visits));
 }
 
 // ---- Rolling horizon: bounded resident state under retirement events ----

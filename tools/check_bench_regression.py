@@ -19,7 +19,10 @@ For every committed BENCH_*.json anchor, the freshly regenerated candidate
     mcost_evaluations are pure functions of the event stream, equal for
     any lane count, so drift means the incremental build started doing
     different work (e.g. a replay-shortfall restart firing, or the
-    best-first search settling nodes in another order).
+    best-first search settling nodes in another order). The EdgeCache's
+    resident state at run end (memo_entries, footprint_visits) is
+    deterministic for a given lane count and is gated the same way, so
+    unbounded cache growth fails too.
 
 Timings, throughputs, and machine blocks are *informational*: wall clocks
 differ across builders by design, so the check prints the relative drift
@@ -50,7 +53,8 @@ TIMING_SUFFIXES = (
 INFORMATIONAL_KEYS = {"machine", "hardware_threads", "context", "date"}
 # Scalar leaves that must equal the anchor exactly, like fingerprints.
 EXACT_KEYS = {"schema", "bench", "fingerprint", "footprint_replays",
-              "footprint_rebuilds", "nodes_expanded", "mcost_evaluations"}
+              "footprint_rebuilds", "nodes_expanded", "mcost_evaluations",
+              "memo_entries", "footprint_visits"}
 
 
 def json_type(value):
