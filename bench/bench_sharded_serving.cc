@@ -12,8 +12,8 @@
 //
 // Part 3 (sweep): full Simulator replays (kinematics, deliveries, and the
 // OrderDelivered retirement stream) through the sharded core, City B, over
-// shards × threads. The per-configuration wall clocks and the serving
-// phases (serving.route / serving.shard_window / serving.merge) go to
+// shards × threads. The per-configuration wall clocks and the router's
+// serving.{route,shard_window,merge}_seconds histogram sums go to
 // BENCH_sharded.json (--out=PATH), the artifact CI uploads next to the
 // existing bench JSONs. Per shard count, the XDT totals must be identical
 // across thread counts (a third determinism gate); across shard counts the
@@ -95,9 +95,10 @@ bool WriteShardedJson(const std::string& path,
   return doc.Write(path);
 }
 
-double PhaseSeconds(const PhaseProfile& profile, const std::string& name) {
-  auto it = profile.phases().find(name);
-  return it == profile.phases().end() ? 0.0 : it->second.seconds;
+double HistogramSeconds(const obs::MetricsSnapshot& snapshot,
+                        const std::string& name) {
+  const obs::InstrumentValue* v = snapshot.Find(name);
+  return v == nullptr ? 0.0 : v->histogram.sum;
 }
 
 int Main(int argc, char** argv) {
@@ -196,8 +197,8 @@ int Main(int argc, char** argv) {
       GridRegionPartitioner partitioner(&entry.workload.network, shards);
       ShardedEngineOptions options;
       options.engine.measure_wall_clock = true;
-      PhaseProfile serving_profile;
-      options.profile = &serving_profile;
+      obs::MetricsRegistry registry;
+      options.metrics = &registry;
       ShardedDispatchEngine core(&partitioner,
                                  RegistryPolicyName(spec.kind),
                                  entry.oracle.get(), config, PolicyOptions{},
@@ -239,9 +240,11 @@ int Main(int argc, char** argv) {
       e.xdt_hours = m.XdtHours();
       e.run_wall_s = run_wall_s;
       e.decision_total_s = m.decision_seconds_total;
-      e.route_s = PhaseSeconds(serving_profile, "serving.route");
-      e.shard_window_s = PhaseSeconds(serving_profile, "serving.shard_window");
-      e.merge_s = PhaseSeconds(serving_profile, "serving.merge");
+      const obs::MetricsSnapshot snapshot = registry.Snapshot();
+      e.route_s = HistogramSeconds(snapshot, "serving.route_seconds");
+      e.shard_window_s =
+          HistogramSeconds(snapshot, "serving.shard_window_seconds");
+      e.merge_s = HistogramSeconds(snapshot, "serving.merge_seconds");
       entries.push_back(e);
       table.AddRow({Fmt(shards, 0), Fmt(threads, 0), Fmt(run_wall_s, 2),
                     Fmt(e.shard_window_s, 3), Fmt(e.merge_s, 3),

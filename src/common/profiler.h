@@ -5,8 +5,14 @@
 // (Kuhn–Munkres, the clustering merge loop) does not; the profiler exists to
 // *rank* that remainder. Producers time code regions with ScopedPhaseTimer
 // into a PhaseProfile; aggregates flow AssignmentDecision → Metrics →
-// WallClockReport / `fmsim --profile`, so per-phase breakdowns end up in
+// WallClockReport / the tools' --profile, so per-phase breakdowns end up in
 // BENCH_fig_wallclock.json and the CI artifacts.
+//
+// A PhaseProfile holds only phases that do not overlap — the decision's
+// sub-phases, the simulator's rebuild.plans and the tools' oracle.warm — so
+// its total is meaningful. Time measured outside a decision (the sharded
+// router, intake, the window executor, WAL fsyncs) goes to the
+// obs::MetricsRegistry histograms instead (docs/OBSERVABILITY.md).
 //
 // Profiling is wall-clock only and never feeds back into simulated time or
 // any decision, so enabling it cannot perturb results — the same rule the

@@ -11,11 +11,10 @@ namespace fm {
 
 namespace {
 
-std::uint64_t NowNanos() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+using Clock = std::chrono::steady_clock;
+
+double SecondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 }  // namespace
@@ -50,22 +49,16 @@ IntakeStage::IntakeStage(const IntakeOptions& options)
 void IntakeStage::Prestage(const StampedEvent& event) {
   const OrderPlaced* placed = std::get_if<OrderPlaced>(&event.event);
   if (placed == nullptr) return;
-  const std::uint64_t t0 = options_.timed ? NowNanos() : 0;
-  // Resolve the restaurant→customer leg once. On the hub-label backend this
-  // builds (or confirms) the label slot for the order's ready hour and
-  // seeds the memo caches; every policy query for this leg afterwards is a
-  // warm lookup. The result itself is discarded — Duration is pure, so
-  // querying it early cannot change any later answer.
+  // The answer is discarded — Duration is pure, so querying it early cannot
+  // change any later answer.
   options_.oracle->Duration(placed->order.restaurant, placed->order.customer,
                             placed->order.ready_at());
   prestaged_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.timed) {
-    prestage_nanos_.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
-  }
 }
 
 AbsorbResult IntakeStage::TryAbsorb(StampedEvent event) {
-  const std::uint64_t t0 = options_.timed ? NowNanos() : 0;
+  const Clock::time_point start =
+      absorb_seconds_ != nullptr ? Clock::now() : Clock::time_point{};
   if (!ValidEngineEvent(event.event)) {
     dropped_invalid_.fetch_add(1, std::memory_order_relaxed);
     return AbsorbResult::kDroppedInvalid;
@@ -73,14 +66,13 @@ AbsorbResult IntakeStage::TryAbsorb(StampedEvent event) {
   if (options_.prestage && options_.oracle != nullptr) Prestage(event);
   if (!queue_.TryPush(std::move(event))) return AbsorbResult::kBackpressure;
   absorbed_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.timed) {
-    absorb_nanos_.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
-  }
+  if (absorb_seconds_ != nullptr) absorb_seconds_->Observe(SecondsSince(start));
   return AbsorbResult::kStaged;
 }
 
 bool IntakeStage::Absorb(StampedEvent event) {
-  const std::uint64_t t0 = options_.timed ? NowNanos() : 0;
+  const Clock::time_point start =
+      absorb_seconds_ != nullptr ? Clock::now() : Clock::time_point{};
   if (!ValidEngineEvent(event.event)) {
     dropped_invalid_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -88,43 +80,12 @@ bool IntakeStage::Absorb(StampedEvent event) {
   if (options_.prestage && options_.oracle != nullptr) Prestage(event);
   queue_.Push(std::move(event));
   absorbed_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.timed) {
-    absorb_nanos_.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
-  }
+  if (absorb_seconds_ != nullptr) absorb_seconds_->Observe(SecondsSince(start));
   return true;
 }
 
 std::size_t IntakeStage::DrainInto(std::vector<StampedEvent>* out) {
   return queue_.DrainInto(out);
-}
-
-void IntakeStage::FlushProfile(PhaseProfile* profile) {
-  if (profile == nullptr || !options_.timed) return;
-  // One Record per flush (the executor flushes once per window), carrying
-  // the producer-side wall-clock accumulated since the previous flush — so
-  // "calls" in the profile table counts windows with intake activity, the
-  // same granularity as the other serving phases.
-  const std::uint64_t absorb_nanos =
-      absorb_nanos_.load(std::memory_order_relaxed);
-  const std::uint64_t absorb_calls = absorbed_.load(std::memory_order_relaxed);
-  const std::uint64_t prestage_nanos =
-      prestage_nanos_.load(std::memory_order_relaxed);
-  const std::uint64_t prestage_calls =
-      prestaged_.load(std::memory_order_relaxed);
-  if (absorb_calls > flushed_absorb_calls_) {
-    profile->Record("intake.absorb",
-                    static_cast<double>(absorb_nanos - flushed_absorb_nanos_) *
-                        1e-9);
-  }
-  if (prestage_calls > flushed_prestage_calls_) {
-    profile->Record(
-        "intake.prestage",
-        static_cast<double>(prestage_nanos - flushed_prestage_nanos_) * 1e-9);
-  }
-  flushed_absorb_nanos_ = absorb_nanos;
-  flushed_absorb_calls_ = absorb_calls;
-  flushed_prestage_nanos_ = prestage_nanos;
-  flushed_prestage_calls_ = prestage_calls;
 }
 
 }  // namespace fm

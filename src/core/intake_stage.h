@@ -13,13 +13,17 @@
 //                    must shed garbage, not die on it;
 //
 //   pre-routing      each accepted order's restaurant→customer leg is
-//                    resolved through the shared DistanceOracle, which both
-//                    pre-warms the hub-label slot for the order's ready
-//                    hour and populates the oracle's memo caches the
-//                    policy's own queries will hit;
+//                    queried once through the shared DistanceOracle and
+//                    the answer discarded. It seeds no cache: the
+//                    hub-label backend keeps none (the duration memos
+//                    belong to the policy's EdgeCache), and the tools,
+//                    benches and perfbench warm their hour slots before
+//                    the run, so on served paths the query only builds a
+//                    slot the warm-up left cold. Each one is counted in
+//                    oracle.queries.
 //
-//   pre-staging cost is charged to the producer's thread, so the window
-//   executor's serial drain stays a sort + a replay.
+// Validation and pre-routing run on the producer's thread, so the window
+// executor's serial drain stays a sort + a replay.
 //
 // Determinism: nothing here can change results. Validation only drops
 // events the synchronous path would have aborted on; the oracle is a pure
@@ -28,9 +32,8 @@
 // The scheduler-dependent ring order is repaired by the executor's
 // (timestamp, sequence) sort before any event touches the engine.
 //
-// Thread safety: TryAbsorb/Absorb from any number of producers;
-// DrainInto/FlushProfile from one consumer thread. Counters are atomics and
-// readable anywhere.
+// Thread safety: TryAbsorb/Absorb from any number of producers; DrainInto
+// from one consumer thread. Counters are atomics and readable anywhere.
 #ifndef FOODMATCH_CORE_INTAKE_STAGE_H_
 #define FOODMATCH_CORE_INTAKE_STAGE_H_
 
@@ -40,9 +43,9 @@
 #include <vector>
 
 #include "common/mpsc_queue.h"
-#include "common/profiler.h"
 #include "core/engine_event.h"
 #include "graph/distance_oracle.h"
+#include "obs/instruments.h"
 
 namespace fm {
 
@@ -56,10 +59,6 @@ struct IntakeOptions {
   // Shared oracle for pre-routing; must be safe for concurrent Duration()
   // (every backend is — see graph/distance_oracle.h). May be null.
   const DistanceOracle* oracle = nullptr;
-  // Record absorb/prestage wall-clock (atomic accumulation, flushed into a
-  // PhaseProfile by the consumer via FlushProfile). False skips all clock
-  // reads on the producer path.
-  bool timed = false;
 };
 
 enum class AbsorbResult {
@@ -91,10 +90,12 @@ class IntakeStage {
   // order). Consumer only.
   std::size_t DrainInto(std::vector<StampedEvent>* out);
 
-  // Records the absorb/prestage wall-clock accumulated since the last
-  // flush into `profile` (phases "intake.absorb" / "intake.prestage").
-  // No-op when `profile` is null or the stage is untimed. Consumer only.
-  void FlushProfile(PhaseProfile* profile);
+  // Optional sink for the wall clock of each accepted absorb (validation,
+  // pre-routing and the push). Set before any producer starts; the
+  // histogram must outlive the stage. Null (the default) reads no clock.
+  void set_absorb_histogram(obs::Histogram* histogram) {
+    absorb_seconds_ = histogram;
+  }
 
   // Cumulative counters (atomic; readable from any thread).
   std::uint64_t absorbed() const {
@@ -125,15 +126,7 @@ class IntakeStage {
   std::atomic<std::uint64_t> absorbed_{0};
   std::atomic<std::uint64_t> prestaged_{0};
   std::atomic<std::uint64_t> dropped_invalid_{0};
-  // Wall-clock accumulators in nanoseconds (atomic so producers can add
-  // concurrently; FlushProfile converts deltas into PhaseProfile entries).
-  std::atomic<std::uint64_t> absorb_nanos_{0};
-  std::atomic<std::uint64_t> prestage_nanos_{0};
-  // Consumer-side bookmark of what FlushProfile already reported.
-  std::uint64_t flushed_absorb_nanos_ = 0;
-  std::uint64_t flushed_absorb_calls_ = 0;
-  std::uint64_t flushed_prestage_nanos_ = 0;
-  std::uint64_t flushed_prestage_calls_ = 0;
+  obs::Histogram* absorb_seconds_ = nullptr;
 };
 
 }  // namespace fm

@@ -38,10 +38,8 @@ void RegisterBuiltins(PolicyRegistry& registry) {
     return std::make_unique<GreedyPolicy>(oracle, config);
   });
   registry.Register("reyes", [](const DistanceOracle* oracle,
-                                const Config& config,
-                                const PolicyOptions& options) {
-    return std::make_unique<ReyesPolicy>(&oracle->network(), config,
-                                         options.reyes_speed_mps);
+                                const Config& config, const PolicyOptions&) {
+    return std::make_unique<ReyesPolicy>(&oracle->network(), config);
   });
 }
 

@@ -17,7 +17,7 @@
 //                PolicyOptions::fixed_k
 //   "greedy"     GreedyPolicy baseline
 //   "reyes"      ReyesPolicy baseline (haversine model over the oracle's
-//                network; honors PolicyOptions::reyes_speed_mps)
+//                network)
 //
 // Additional policies self-register from any translation unit with a
 // file-scope PolicyRegistrar. Note the classic static-library caveat: a
@@ -45,8 +45,6 @@ struct PolicyOptions {
   // FOODGRAPH degree override for the sparsified matching policies
   // ("foodmatch", "br-bfs"); <= 0 derives k from Config::k_scale.
   int fixed_k = 0;
-  // Assumed constant speed of the "reyes" haversine distance model.
-  double reyes_speed_mps = 7.0;
 };
 
 class PolicyRegistry {

@@ -11,11 +11,17 @@
 
 namespace fm {
 
-ReyesPolicy::ReyesPolicy(const RoadNetwork* network, const Config& config,
-                         double assumed_speed_mps)
+namespace {
+
+// The constant speed that turns haversine distances into travel times.
+constexpr double kAssumedSpeedMps = 7.0;
+
+}  // namespace
+
+ReyesPolicy::ReyesPolicy(const RoadNetwork* network, const Config& config)
     : config_(config),
       haversine_(std::make_unique<DistanceOracle>(
-          network, OracleBackend::kHaversine, assumed_speed_mps)) {
+          network, OracleBackend::kHaversine, kAssumedSpeedMps)) {
   config_.Validate();
 }
 

@@ -20,10 +20,8 @@ namespace fm {
 
 class ReyesPolicy : public AssignmentPolicy {
  public:
-  // `network` must outlive the policy. `assumed_speed_mps` is the constant
-  // speed used to convert haversine distances to times.
-  ReyesPolicy(const RoadNetwork* network, const Config& config,
-              double assumed_speed_mps = 7.0);
+  // `network` must outlive the policy.
+  ReyesPolicy(const RoadNetwork* network, const Config& config);
 
   std::string name() const override { return "Reyes"; }
   bool wants_reshuffle() const override { return false; }

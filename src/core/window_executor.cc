@@ -19,7 +19,6 @@ WindowExecutor::WindowExecutor(DispatchCore* core,
   stage_options.queue_capacity = options_.queue_capacity;
   stage_options.prestage = options_.prestage;
   stage_options.oracle = options_.oracle;
-  stage_options.timed = options_.profile != nullptr;
   stages_.reserve(static_cast<std::size_t>(options_.stages));
   for (int s = 0; s < options_.stages; ++s) {
     stages_.push_back(std::make_unique<IntakeStage>(stage_options));
@@ -57,6 +56,14 @@ void WindowExecutor::RegisterMetrics() {
       "core.pending_orders",
       "orders waiting in the core's pools plus staged intake",
       [this] { return static_cast<double>(pending_orders()); }, this);
+  obs::Histogram& absorb_seconds = reg.RegisterHistogram(
+      "intake.absorb_seconds",
+      "one accepted absorb: validation, pre-routing and the push "
+      "(producer threads)",
+      obs::LatencyBoundaries());
+  for (const auto& stage : stages_) {
+    stage->set_absorb_histogram(&absorb_seconds);
+  }
   // Executor: per-window close timings and decision tallies, owned here.
   obs_.drain_seconds = &reg.RegisterHistogram(
       "executor.drain_seconds", "per-window drain + due/future split",
@@ -148,51 +155,46 @@ void WindowExecutor::PumpIntake() {
 WindowResult WindowExecutor::CloseWindow(Seconds now) {
   obs::ScopedSpan window_span("executor.window", "executor");
   const bool tracing = obs::Tracer::Global().enabled();
-  // Fine-grained step timings exist only when a registry is attached; like
-  // the profiler, a disabled instrument means no clock reads at all.
+  // Fine-grained step timings exist only when a registry is attached;
+  // without one this reads no clock at all.
   const bool timed = obs_.windows != nullptr;
   using Clock = std::chrono::steady_clock;
   Clock::time_point t_open, t_split, t_sort, t_replay;
-  std::size_t replayed = 0;
-  {
-    ScopedPhaseTimer timer(options_.profile, "intake.drain");
-    if (timed) t_open = Clock::now();
-    PumpIntake();
-    // Split the retained buffer: events due at `now` move to the sort
-    // scratch, later ones stay staged for a future window.
-    due_.clear();
-    std::size_t keep = 0;
-    for (StampedEvent& e : retained_) {
-      if (e.timestamp <= now) {
-        due_.push_back(std::move(e));
-      } else {
-        retained_[keep++] = std::move(e);
-      }
+  if (timed) t_open = Clock::now();
+  PumpIntake();
+  // Split the retained buffer: events due at `now` move to the sort
+  // scratch, later ones stay staged for a future window.
+  due_.clear();
+  std::size_t keep = 0;
+  for (StampedEvent& e : retained_) {
+    if (e.timestamp <= now) {
+      due_.push_back(std::move(e));
+    } else {
+      retained_[keep++] = std::move(e);
     }
-    retained_.resize(keep);
-    if (timed) t_split = Clock::now();
-    // The canonical stream order. Sequences are unique per stream, so this
-    // is a total order and the replay below is independent of producer
-    // count, stage count, and every queue interleaving.
-    std::sort(due_.begin(), due_.end(),
-              [](const StampedEvent& a, const StampedEvent& b) {
-                return StampedBefore(a, b);
-              });
-    if (timed) t_sort = Clock::now();
-    for (StampedEvent& e : due_) {
-      if (IsOrderPlaced(e.event)) {
-        staged_orders_.fetch_sub(1, std::memory_order_relaxed);
-        if (tracing) {
-          obs::EmitOrderLifecycle('n', "order.drain", PlacedOrderId(e.event));
-        }
-      }
-      ApplyEvent(*core_, std::move(e.event));
-    }
-    replayed = due_.size();
-    due_.clear();
-    for (const auto& stage : stages_) stage->FlushProfile(options_.profile);
-    if (timed) t_replay = Clock::now();
   }
+  retained_.resize(keep);
+  if (timed) t_split = Clock::now();
+  // The canonical stream order. Sequences are unique per stream, so this
+  // is a total order and the replay below is independent of producer
+  // count, stage count, and every queue interleaving.
+  std::sort(due_.begin(), due_.end(),
+            [](const StampedEvent& a, const StampedEvent& b) {
+              return StampedBefore(a, b);
+            });
+  if (timed) t_sort = Clock::now();
+  for (StampedEvent& e : due_) {
+    if (IsOrderPlaced(e.event)) {
+      staged_orders_.fetch_sub(1, std::memory_order_relaxed);
+      if (tracing) {
+        obs::EmitOrderLifecycle('n', "order.drain", PlacedOrderId(e.event));
+      }
+    }
+    ApplyEvent(*core_, std::move(e.event));
+  }
+  const std::size_t replayed = due_.size();
+  due_.clear();
+  if (timed) t_replay = Clock::now();
   WindowResult result = core_->Handle(WindowClosed{now});
   if (timed) {
     const auto seconds = [](Clock::time_point a, Clock::time_point b) {

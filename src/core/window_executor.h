@@ -49,7 +49,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/profiler.h"
 #include "core/dispatch_engine.h"
 #include "core/intake_stage.h"
 #include "obs/metrics_registry.h"
@@ -73,12 +72,10 @@ struct WindowExecutorOptions {
   // Stage route; null sends events to stage `sequence % stages` (an
   // arbitrary deterministic spread — results never depend on the route).
   StageRouter router;
-  // Sink for the intake phases (intake.absorb / intake.prestage /
-  // intake.drain). Null disables all intake timing. Consumer-thread-only.
-  PhaseProfile* profile = nullptr;
   // Observability registry. When set, the executor registers the intake /
-  // executor / core instrument set (docs/OBSERVABILITY.md) and records
-  // per-window drain/sort/replay timings into owned histograms. The
+  // executor / core instrument set (docs/OBSERVABILITY.md), records
+  // per-window drain/sort/replay timings into owned histograms, and hands
+  // every stage the intake.absorb_seconds histogram. The
   // registry must outlive the executor; null disables everything
   // (including the timing clock reads). Snapshot from the consumer thread
   // — producer-side counters are racy monitoring reads by design.

@@ -51,9 +51,10 @@ struct Config {
   // consumer pumps — backpressure (blocking, counted) handles overflow
   // without dropping events, so results never depend on this value.
   int intake_queue_capacity = 4096;
-  // Pre-route each accepted order's restaurant→customer leg on the
-  // producer thread (warms oracle caches; never changes results — see
-  // core/intake_stage.h).
+  // Query each accepted order's restaurant→customer leg once on the
+  // producer thread and discard the answer. It seeds no cache and, behind
+  // a warmed oracle, builds nothing: one extra oracle query per order.
+  // Never changes results (core/intake_stage.h).
   bool intake_prestage = true;
   // Maintain the FOODGRAPH incrementally across windows (core/edge_cache.h):
   // replay each vehicle's recorded best-first search footprint and memoize

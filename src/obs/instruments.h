@@ -124,45 +124,6 @@ inline std::vector<double> LatencyBoundaries() {
           1e-2, 3e-2, 1e-1, 3e-1, 1.0,  3.0, 10.0};
 }
 
-/// Counter sharded over cache-line-padded cells so writers on different
-/// shards never contend on one line; aggregated by value() (and by the
-/// registry on snapshot). Writers index their own shard; value() sums.
-class ShardedCounter {
- public:
-  explicit ShardedCounter(int shards)
-      : shards_(shards < 1 ? 1 : shards),
-        cells_(std::make_unique<Cell[]>(
-            static_cast<std::size_t>(shards < 1 ? 1 : shards))) {}
-
-  ShardedCounter(const ShardedCounter&) = delete;
-  ShardedCounter& operator=(const ShardedCounter&) = delete;
-
-  void Add(int shard, std::uint64_t n = 1) {
-    cells_[static_cast<std::size_t>(shard) %
-           static_cast<std::size_t>(shards_)]
-        .value.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  int shards() const { return shards_; }
-  std::uint64_t shard_value(int shard) const {
-    return cells_[static_cast<std::size_t>(shard)].value.load(
-        std::memory_order_relaxed);
-  }
-  /// Sum over all shards.
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (int s = 0; s < shards_; ++s) total += shard_value(s);
-    return total;
-  }
-
- private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> value{0};
-  };
-  int shards_;
-  std::unique_ptr<Cell[]> cells_;
-};
-
 }  // namespace fm::obs
 
 #endif  // FOODMATCH_OBS_INSTRUMENTS_H_

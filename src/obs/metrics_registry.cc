@@ -34,6 +34,13 @@ std::string PrometheusName(const std::string& name) {
 
 }  // namespace
 
+const InstrumentValue* MetricsSnapshot::Find(const std::string& name) const {
+  for (const InstrumentValue& v : instruments) {
+    if (v.name == name) return &v;
+  }
+  return nullptr;
+}
+
 std::string MetricsSnapshot::ToJson() const {
   std::string out = "{";
   bool first = true;
@@ -157,14 +164,6 @@ Histogram& MetricsRegistry::RegisterHistogram(const std::string& name,
   return histograms_.back();
 }
 
-ShardedCounter& MetricsRegistry::RegisterShardedCounter(
-    const std::string& name, const std::string& help, int shards) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sharded_.emplace_back(shards);
-  AddEntry(name, help, InstrumentKind::kCounter).sharded = &sharded_.back();
-  return sharded_.back();
-}
-
 void MetricsRegistry::RegisterCallbackCounter(
     const std::string& name, const std::string& help,
     std::function<std::uint64_t()> sample, const void* owner) {
@@ -214,8 +213,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       case InstrumentKind::kCounter:
         if (e.counter != nullptr) {
           v.counter = e.counter->value();
-        } else if (e.sharded != nullptr) {
-          v.counter = e.sharded->value();
         } else {
           v.counter = e.counter_fn ? e.counter_fn() : e.frozen_counter;
         }

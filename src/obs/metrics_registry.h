@@ -2,9 +2,9 @@
 //
 // The registry is the naming and exposition layer over obs/instruments.h.
 // Components register instruments once at construction (RegisterCounter /
-// RegisterGauge / RegisterHistogram / RegisterShardedCounter return a
-// reference the component keeps and mutates lock-free), or register a
-// *callback* instrument that samples an existing accessor at snapshot time
+// RegisterGauge / RegisterHistogram return a reference the component keeps
+// and mutates lock-free), or register a *callback* instrument that samples
+// an existing accessor at snapshot time
 // — how the pre-existing ad-hoc counters (MpscQueue::blocked_pushes, the
 // sharded router's migrations, EdgeCache hits, WAL byte counts) surface on
 // the registry while their original accessors stay the source of truth.
@@ -61,6 +61,9 @@ struct InstrumentValue {
 struct MetricsSnapshot {
   std::vector<InstrumentValue> instruments;
 
+  /// The instrument named `name`, or null when none was registered.
+  const InstrumentValue* Find(const std::string& name) const;
+
   /// One JSON object `{"name": value, ...}` in registration order.
   /// Counters are integers, gauges numbers, histograms objects with
   /// boundaries/counts/count/sum.
@@ -86,9 +89,6 @@ class MetricsRegistry {
   Histogram& RegisterHistogram(const std::string& name,
                                const std::string& help,
                                std::vector<double> boundaries);
-  /// Exposed as one counter; per-shard cells are aggregated on snapshot.
-  ShardedCounter& RegisterShardedCounter(const std::string& name,
-                                         const std::string& help, int shards);
 
   // ---- Callback instruments (sampled at snapshot time) ----
   //
@@ -123,7 +123,6 @@ class MetricsRegistry {
     Counter* counter = nullptr;
     Gauge* gauge = nullptr;
     Histogram* histogram = nullptr;
-    ShardedCounter* sharded = nullptr;
     std::function<std::uint64_t()> counter_fn;
     std::function<double()> gauge_fn;
     // FreezeCallbacks bookkeeping: the registering component (callback
@@ -142,7 +141,6 @@ class MetricsRegistry {
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
-  std::deque<ShardedCounter> sharded_;
   std::vector<Entry> entries_;  // registration order
 };
 

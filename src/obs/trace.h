@@ -11,7 +11,9 @@
 // bounded memory and keeps the most recent history.
 //
 // Spans come from three sources:
-//   * obs::ScopedSpan — explicit RAII spans in instrumented code;
+//   * obs::ScopedSpan — explicit RAII spans in instrumented code; a span
+//     given a registry histogram (the sharded router's serving.* regions)
+//     also records its duration there, traced or not;
 //   * every fm::ScopedPhaseTimer — while the tracer is enabled it installs
 //     the PhaseSpanHook (common/profiler.h), so each PhaseProfile phase
 //     (including ones whose profile pointer is null) is also a span; the
@@ -45,6 +47,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/instruments.h"
 
 namespace fm::obs {
 
@@ -123,20 +127,29 @@ class Tracer {
 };
 
 /// RAII complete-span helper over the global tracer. `name` and `category`
-/// must outlive the span (string literals in practice). Cost while tracing
-/// is disabled: one relaxed atomic load, no clock read.
+/// must outlive the span (string literals in practice). A non-null
+/// `histogram` also observes the span's wall-clock seconds whether or not
+/// tracing is on, so a timed region feeds the registry and the trace from
+/// one clock pair. Cost with tracing disabled and no histogram: one relaxed
+/// atomic load, no clock read.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name, const char* category = "task")
-      : name_(name), category_(category),
+  explicit ScopedSpan(const char* name, const char* category = "task",
+                      Histogram* histogram = nullptr)
+      : name_(name), category_(category), histogram_(histogram),
         active_(Tracer::Global().enabled()) {
-    if (active_) start_ = std::chrono::steady_clock::now();
+    if (active_ || histogram_ != nullptr) {
+      start_ = std::chrono::steady_clock::now();
+    }
   }
 
   ~ScopedSpan() {
-    if (!active_) return;
-    Tracer::Global().EmitComplete(name_, category_, start_,
-                                  std::chrono::steady_clock::now());
+    if (!active_ && histogram_ == nullptr) return;
+    const auto end = std::chrono::steady_clock::now();
+    if (histogram_ != nullptr) {
+      histogram_->Observe(std::chrono::duration<double>(end - start_).count());
+    }
+    if (active_) Tracer::Global().EmitComplete(name_, category_, start_, end);
   }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -145,6 +158,7 @@ class ScopedSpan {
  private:
   const char* name_;
   const char* category_;
+  Histogram* histogram_;
   bool active_;
   std::chrono::steady_clock::time_point start_;
 };

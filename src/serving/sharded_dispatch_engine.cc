@@ -86,6 +86,17 @@ void ShardedDispatchEngine::RegisterMetrics() {
   reg.RegisterCallbackGauge(
       "serving.routed_vehicles", "vehicles with a home shard",
       [this] { return static_cast<double>(vehicle_shard_.size()); }, this);
+  route_seconds_ = &reg.RegisterHistogram(
+      "serving.route_seconds",
+      "one event routed into its shard (router thread)",
+      obs::LatencyBoundaries());
+  shard_window_seconds_ = &reg.RegisterHistogram(
+      "serving.shard_window_seconds",
+      "per-window fork-join over every shard's window",
+      obs::LatencyBoundaries());
+  merge_seconds_ = &reg.RegisterHistogram(
+      "serving.merge_seconds", "per-window merge of the shard results",
+      obs::LatencyBoundaries());
   makespan_seconds_ = &reg.RegisterHistogram(
       "serving.window_makespan_seconds",
       "slowest shard's decision wall clock per window (0 unless measured)",
@@ -191,7 +202,7 @@ void ShardedDispatchEngine::RecordCarriedOrders(const VehicleSnapshot& snapshot,
 }
 
 void ShardedDispatchEngine::Handle(OrderPlaced event) {
-  ScopedPhaseTimer timer(options_.profile, "serving.route");
+  obs::ScopedSpan span("serving.route", "phase", route_seconds_);
   const int shard = partitioner_->ShardOfNode(event.order.restaurant);
   order_shard_[event.order.id] = shard;
   if (!durability_.empty()) durability_[shard]->LogEvent(event);
@@ -199,7 +210,7 @@ void ShardedDispatchEngine::Handle(OrderPlaced event) {
 }
 
 void ShardedDispatchEngine::Handle(VehicleStateUpdate event) {
-  ScopedPhaseTimer timer(options_.profile, "serving.route");
+  obs::ScopedSpan span("serving.route", "phase", route_seconds_);
   const int home = partitioner_->ShardOfNode(event.snapshot.location);
   auto it = vehicle_shard_.find(event.snapshot.id);
   if (it == vehicle_shard_.end()) {
@@ -240,7 +251,7 @@ void ShardedDispatchEngine::Handle(VehicleStateUpdate event) {
 }
 
 void ShardedDispatchEngine::Handle(OrderDelivered event) {
-  ScopedPhaseTimer timer(options_.profile, "serving.route");
+  obs::ScopedSpan span("serving.route", "phase", route_seconds_);
   auto it = order_shard_.find(event.order);
   if (it == order_shard_.end()) return;  // unknown or already delivered
   if (!durability_.empty()) durability_[it->second]->LogEvent(event);
@@ -249,7 +260,7 @@ void ShardedDispatchEngine::Handle(OrderDelivered event) {
 }
 
 void ShardedDispatchEngine::Handle(VehicleRetired event) {
-  ScopedPhaseTimer timer(options_.profile, "serving.route");
+  obs::ScopedSpan span("serving.route", "phase", route_seconds_);
   auto it = vehicle_shard_.find(event.vehicle);
   FM_CHECK_MSG(it != vehicle_shard_.end(), "retirement of unknown vehicle");
   if (!durability_.empty()) durability_[it->second]->LogEvent(event);
@@ -278,7 +289,8 @@ FleetWindowResult ShardedDispatchEngine::RunWindow(const WindowClosed& event) {
   fleet.now = event.now;
   fleet.shards.resize(shards);
   {
-    ScopedPhaseTimer timer(options_.profile, "serving.shard_window");
+    obs::ScopedSpan window_span("serving.shard_window", "phase",
+                                shard_window_seconds_);
     // Each worker touches exactly its own shard's durability instance, so
     // the marker append + fsync rides inside the fork-join with no extra
     // synchronization.
@@ -302,7 +314,7 @@ FleetWindowResult ShardedDispatchEngine::RunWindow(const WindowClosed& event) {
   }
 
   {
-    ScopedPhaseTimer timer(options_.profile, "serving.merge");
+    obs::ScopedSpan span("serving.merge", "phase", merge_seconds_);
     WindowResult& merged = fleet.merged;
     merged.now = event.now;
     for (const WindowResult& r : fleet.shards) {

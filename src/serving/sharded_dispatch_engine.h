@@ -47,11 +47,12 @@
 // Config::threads lanes. With K = 1 the single engine inherits
 // Config::threads and parallelizes within the pipeline as usual.
 //
-// Profiling: pass ShardedEngineOptions::profile to record the router's
-// phases — serving.route (event routing + shard intake), serving.
-// shard_window (the fork-join over shards), serving.merge (result
-// concatenation) — into the existing PhaseProfile plumbing. Null disables
-// all timing (no clock reads).
+// Profiling: with ShardedEngineOptions::metrics set, the router observes
+// its own regions into registry histograms — serving.route_seconds (one
+// event routed into its shard), serving.shard_window_seconds (the
+// fork-join over shards) and serving.merge_seconds (result concatenation).
+// Each region is also a trace span while tracing is on. Without a registry
+// the router reads no clock.
 #ifndef FOODMATCH_SERVING_SHARDED_DISPATCH_ENGINE_H_
 #define FOODMATCH_SERVING_SHARDED_DISPATCH_ENGINE_H_
 
@@ -61,7 +62,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/profiler.h"
 #include "common/thread_pool.h"
 #include "core/dispatch_engine.h"
 #include "core/policy_registry.h"
@@ -90,10 +90,6 @@ struct FleetWindowResult {
 struct ShardedEngineOptions {
   // Forwarded to every shard engine (wall-clock measurement etc.).
   DispatchEngineOptions engine;
-  // Router-phase profile sink (serving.route / serving.shard_window /
-  // serving.merge). Null disables timing. Only touched from the thread
-  // calling Handle, never from the shard workers.
-  PhaseProfile* profile = nullptr;
   // Durability: a non-empty `durability.dir` gives every shard its own WAL
   // + snapshot stream under that directory (durability/recovery.h).
   // Construction wipes the directory's files for these shards — a fresh
@@ -105,8 +101,8 @@ struct ShardedEngineOptions {
   // Observability registry. When set, the router registers the serving /
   // WAL / oracle / EdgeCache instrument set (docs/OBSERVABILITY.md) and
   // records per-window makespan + imbalance. Must outlive the engine;
-  // null disables everything. Like the profile, observability never feeds
-  // back into decisions (gated by bench_observability).
+  // null disables everything. Observability never feeds back into
+  // decisions (gated by bench_observability).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -244,6 +240,9 @@ class ShardedDispatchEngine : public DispatchCore {
   // Owned by options_.metrics; null without a registry. The fsync
   // histogram is shared by every shard's WAL writer (histograms are
   // thread-safe; shard workers observe concurrently inside the fork-join).
+  obs::Histogram* route_seconds_ = nullptr;
+  obs::Histogram* shard_window_seconds_ = nullptr;
+  obs::Histogram* merge_seconds_ = nullptr;
   obs::Histogram* makespan_seconds_ = nullptr;
   obs::Gauge* makespan_imbalance_ = nullptr;
   obs::Histogram* fsync_seconds_ = nullptr;

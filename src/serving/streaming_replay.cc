@@ -78,7 +78,6 @@ std::vector<WindowResult> StreamReplay(DispatchCore& core,
   executor_options.prestage = options.prestage;
   executor_options.oracle = options.oracle;
   executor_options.router = options.router;
-  executor_options.profile = options.profile;
   executor_options.metrics = options.metrics;
   WindowExecutor executor(&core, executor_options);
 

@@ -36,7 +36,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/profiler.h"
 #include "core/window_executor.h"
 #include "serving/region_partitioner.h"
 
@@ -71,7 +70,6 @@ struct StreamReplayOptions {
   bool prestage = true;
   const DistanceOracle* oracle = nullptr;
   StageRouter router;
-  PhaseProfile* profile = nullptr;
   // Observability registry, forwarded to the WindowExecutor (which
   // registers the intake/executor/core instrument set on it). Null
   // disables; see core/window_executor.h.

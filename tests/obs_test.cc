@@ -24,21 +24,18 @@ namespace {
 
 TEST(InstrumentsTest, CounterExactUnderContention) {
   Counter counter;
-  ShardedCounter sharded(4);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
+    threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         counter.Increment();
-        sharded.Add(t % 4);
       }
     });
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(counter.value(), kThreads * kPerThread);
-  EXPECT_EQ(sharded.value(), kThreads * kPerThread);
 }
 
 TEST(InstrumentsTest, HistogramBoundariesAreInclusiveUpperEdges) {
@@ -123,15 +120,6 @@ TEST(MetricsRegistryTest, ExpositionIsDeterministic) {
             std::string::npos);
   EXPECT_NE(prom.find("latency_seconds_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
-}
-
-TEST(MetricsRegistryTest, ShardedCounterAggregatesOnSnapshot) {
-  MetricsRegistry registry;
-  ShardedCounter& c = registry.RegisterShardedCounter("s.total", "sum", 4);
-  for (int shard = 0; shard < 4; ++shard) c.Add(shard, 10);
-  const MetricsSnapshot snap = registry.Snapshot();
-  ASSERT_EQ(snap.instruments.size(), 1u);
-  EXPECT_EQ(snap.instruments[0].counter, 40u);
 }
 
 TEST(MetricsRegistryTest, CallbacksSampleAtSnapshotTime) {
@@ -246,6 +234,24 @@ TEST(TracerTest, RingOverwritesOldestAndCountsDropped) {
   tracer.Disable();
   EXPECT_EQ(tracer.SortedEvents().size(), 16u);
   EXPECT_EQ(tracer.dropped(), 10u);
+}
+
+// A span given a histogram observes its duration whether or not tracing is
+// on, and emits the trace event only while it is.
+TEST(TracerTest, SpanHistogramObservesWithAndWithoutTracing) {
+  Tracer& tracer = Tracer::Global();
+  Histogram histogram(LatencyBoundaries());
+  { ScopedSpan span("unit.untraced", "phase", &histogram); }
+  EXPECT_EQ(histogram.count(), 1u);
+  tracer.Enable();
+  { ScopedSpan span("unit.traced", "phase", &histogram); }
+  tracer.Disable();
+  EXPECT_EQ(histogram.count(), 2u);
+  EXPECT_GE(histogram.sum(), 0.0);
+  const std::vector<TraceEvent> events = tracer.SortedEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "unit.traced");
+  EXPECT_STREQ(events[0].category, "phase");
 }
 
 TEST(TracerTest, PhaseTimersEmitSpansWhileEnabled) {

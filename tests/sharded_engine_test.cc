@@ -460,6 +460,45 @@ TEST(ShardedMetricsTest, EdgeCacheGaugesSumTheShardCaches) {
             static_cast<double>(want.footprint_visits));
 }
 
+// With a registry attached the router times its own regions: one
+// serving.route_seconds observation per routed event, one shard_window and
+// one merge observation per window.
+TEST(ShardedMetricsTest, RouterHistogramsCountEventsAndWindows) {
+  Scenario s = MakeScenario(9753, 6, 40, 1800.0);
+  DistanceOracle oracle(&s.network, OracleBackend::kDijkstra);
+  const int shards = 2;
+  GridRegionPartitioner partitioner(&s.network, shards);
+  Config config;
+  config.accumulation_window = 120.0;
+  config.shards = shards;
+  obs::MetricsRegistry registry;
+  ShardedEngineOptions options;
+  options.engine.measure_wall_clock = false;
+  options.metrics = &registry;
+  ShardedDispatchEngine sharded(&partitioner, "foodmatch", &oracle, config,
+                                PolicyOptions{}, options);
+  const std::vector<WindowResult> windows =
+      DriveScenario(sharded, s, 120.0, 1800.0);
+  sharded.Handle(VehicleRetired{s.fleet.back().id});
+  ASSERT_FALSE(windows.empty());
+
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  const auto count = [&](const std::string& name) -> std::uint64_t {
+    const obs::InstrumentValue* v = snap.Find(name);
+    if (v == nullptr) {
+      ADD_FAILURE() << "missing instrument " << name;
+      return 0;
+    }
+    EXPECT_EQ(v->kind, obs::InstrumentKind::kHistogram) << name;
+    return v->histogram.count;
+  };
+  // Every vehicle announcement, every order, and the retirement.
+  EXPECT_EQ(count("serving.route_seconds"),
+            s.fleet.size() + s.orders.size() + 1);
+  EXPECT_EQ(count("serving.shard_window_seconds"), windows.size());
+  EXPECT_EQ(count("serving.merge_seconds"), windows.size());
+}
+
 // ---- Rolling horizon: bounded resident state under retirement events ----
 
 TEST(ShardedRollingTest, RetirementEventsKeepResidentStateBounded) {

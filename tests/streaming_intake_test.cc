@@ -23,6 +23,7 @@
 #include "core/window_executor.h"
 #include "gen/city_gen.h"
 #include "graph/distance_oracle.h"
+#include "obs/metrics_registry.h"
 #include "serving/event_log.h"
 #include "serving/event_replay.h"
 #include "serving/event_source.h"
@@ -283,6 +284,66 @@ TEST(WindowExecutorTest, RetainsEventsStampedBeyondTheClosingWindow) {
   executor.CloseWindow(600.0);
   EXPECT_EQ(executor.retained_events(), 0u);
   EXPECT_EQ(engine.pending_orders(), 2u);
+}
+
+// With a registry attached every stage observes intake.absorb_seconds once
+// per accepted absorb — not for shed events, not for a backpressured try —
+// including from concurrent producers.
+TEST(WindowExecutorTest, AbsorbHistogramCountsEveryAbsorbedEvent) {
+  const auto absorb_count = [](const obs::MetricsRegistry& registry) {
+    const obs::MetricsSnapshot snap = registry.Snapshot();
+    const obs::InstrumentValue* v = snap.Find("intake.absorb_seconds");
+    return v == nullptr ? ~std::uint64_t{0} : v->histogram.count;
+  };
+  Scenario s = MakeScenario(99, 4, 40, 1800.0);
+  DistanceOracle oracle(&s.network, OracleBackend::kDijkstra);
+  Config config;
+  config.accumulation_window = 120.0;
+  std::unique_ptr<AssignmentPolicy> policy =
+      PolicyRegistry::Global().Create("greedy", &oracle, config);
+  DispatchEngine engine(policy.get(), config,
+                        DispatchEngineOptions{.measure_wall_clock = false});
+  {
+    obs::MetricsRegistry registry;
+    WindowExecutorOptions options;
+    options.queue_capacity = 2;
+    options.metrics = &registry;
+    WindowExecutor executor(&engine, options);
+    Order bad = ValidOrder(7);
+    bad.items = 0;
+    EXPECT_FALSE(executor.Submit({0.0, 0, OrderPlaced{bad}}));
+    EXPECT_EQ(executor.TrySubmit({0.0, 1, OrderPlaced{ValidOrder(1)}}),
+              AbsorbResult::kStaged);
+    EXPECT_EQ(executor.TrySubmit({0.0, 2, OrderPlaced{ValidOrder(2)}}),
+              AbsorbResult::kStaged);
+    EXPECT_EQ(executor.TrySubmit({0.0, 3, OrderPlaced{ValidOrder(3)}}),
+              AbsorbResult::kBackpressure);
+    EXPECT_EQ(executor.absorbed(), 2u);
+    EXPECT_EQ(absorb_count(registry), executor.absorbed());
+  }
+
+  obs::MetricsRegistry registry;
+  const Seconds start = 12 * 3600.0;
+  const std::vector<StampedEvent> events =
+      MakeBatchReplayEvents(s.fleet, s.orders, start);
+  StreamReplayStats stats;
+  StreamReplayOptions options;
+  options.producers = 4;
+  options.stages = 2;
+  options.queue_capacity = 8;  // small rings: blocking Absorb waits
+  options.oracle = &oracle;
+  options.metrics = &registry;
+  options.stats = &stats;
+  std::unique_ptr<AssignmentPolicy> policy2 =
+      PolicyRegistry::Global().Create("greedy", &oracle, config);
+  DispatchEngine streamed(policy2.get(), config,
+                          DispatchEngineOptions{.measure_wall_clock = false});
+  StreamReplay(streamed, events, start, start + 1800.0, 120.0, options);
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  const obs::InstrumentValue* absorbed = snap.Find("intake.absorbed");
+  ASSERT_NE(absorbed, nullptr);
+  EXPECT_EQ(absorbed->counter, stats.events_submitted);
+  EXPECT_EQ(absorb_count(registry), absorbed->counter);
 }
 
 // ---- The golden streaming gate ----

@@ -113,10 +113,10 @@ int Main(int argc, char** argv) {
     stress_events = std::move(stress.events);
   }
 
-  // Intake prestaging keeps the warmed slots warm afterwards.
-  PhaseProfile profile_sink;
+  // --profile: oracle.warm plus every window's decision phases.
+  PhaseProfile phases;
   const std::unique_ptr<DistanceOracle> oracle =
-      WarmOracle(spec, workload.network, &profile_sink);
+      WarmOracle(spec, workload.network, &phases);
 
   const std::vector<Vehicle> fleet =
       scenario_name.empty() ? SubsampleFleet(workload.fleet, spec.fleet)
@@ -140,16 +140,17 @@ int Main(int argc, char** argv) {
 
   const int producers = flags.GetInt("producers", 1);
 
-  // Observability: --metrics-out builds one registry for the serving run
-  // (the verify core below deliberately gets none — a registry rejects
-  // duplicate names) and tails it to JSONL; --trace-out records spans +
-  // order lifecycles for Perfetto. The sharded router registers the
-  // serving/WAL/oracle/EdgeCache set, the WindowExecutor the
-  // intake/executor/core set.
+  // Observability: --metrics-out and --profile share one registry for the
+  // serving run (the verify core below deliberately gets none — a registry
+  // rejects duplicate names); --metrics-out tails it to JSONL, --profile
+  // prints its timings; --trace-out records spans + order lifecycles for
+  // Perfetto. The sharded router registers the serving/WAL/oracle/EdgeCache
+  // set, the WindowExecutor the intake/executor/core set.
   const std::string metrics_out = flags.GetString("metrics-out");
   const double metrics_every = flags.GetDouble("metrics-every", 5.0);
   obs::MetricsRegistry registry;
-  obs::MetricsRegistry* metrics = metrics_out.empty() ? nullptr : &registry;
+  obs::MetricsRegistry* metrics =
+      metrics_out.empty() && !spec.profile ? nullptr : &registry;
 
   CoreBundle serving = MakeCore(spec, workload.network, *oracle,
                                 {.wal_dir = spec.wal_dir, .metrics = metrics});
@@ -162,10 +163,7 @@ int Main(int argc, char** argv) {
       static_cast<std::size_t>(config.intake_queue_capacity);
   stream_options.prestage = config.intake_prestage;
   stream_options.oracle = oracle.get();
-  if (serving.sharded != nullptr) {
-    stream_options.router = MakeRegionStageRouter(&serving.sharded->partitioner());
-  }
-  stream_options.profile = spec.profile ? &profile_sink : nullptr;
+  stream_options.router = MakeRegionStageRouter(&serving.sharded->partitioner());
   stream_options.metrics = metrics;
   stream_options.speedup = flags.GetDouble("speedup", 0.0);
   stream_options.stats = &stats;
@@ -181,7 +179,7 @@ int Main(int argc, char** argv) {
   // composing with (after) the restore hook when both are set. The logger's
   // destructor writes one final line, so even a short run yields a sample.
   std::unique_ptr<obs::TelemetryLogger> telemetry;
-  if (metrics != nullptr) {
+  if (!metrics_out.empty()) {
     telemetry = std::make_unique<obs::TelemetryLogger>(metrics_out, metrics,
                                                        metrics_every);
     if (!telemetry->ok()) {
@@ -209,7 +207,7 @@ int Main(int argc, char** argv) {
       stream_options.speedup > 0.0 ? "throttled" : "max");
 
   const std::vector<WindowResult> results =
-      StreamReplay(*serving.core, events, start, end, delta, stream_options);
+      StreamReplay(*serving.sharded, events, start, end, delta, stream_options);
   const std::uint64_t fingerprint = FingerprintWindowResults(results);
 
   const double orders_per_second =
@@ -245,15 +243,15 @@ int Main(int argc, char** argv) {
     VectorEventSource source(events);
     if (!VerifyFingerprint(
             "streaming", "synchronous", fingerprint,
-            FingerprintWindowResults(
-                ReplayEventStream(*batch.core, source, start, end, delta)))) {
+            FingerprintWindowResults(ReplayEventStream(
+                *batch.sharded, source, start, end, delta)))) {
       return 1;
     }
   }
 
   if (spec.profile) {
-    std::printf("\nper-phase wall-clock profile (threads=%d):\n%s",
-                config.threads, profile_sink.FormatTable().c_str());
+    for (const WindowResult& r : results) phases.Merge(r.decision.profile);
+    PrintProfile(phases, registry, config.threads);
   }
 
   const std::string out = flags.GetString("out");

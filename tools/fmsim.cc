@@ -87,7 +87,6 @@ std::vector<FlagDoc> SimFlags() {
        "kill shard 0 at the mid-run window, restore\nit from snapshot + WAL, "
        "and fail unless the\nfinished run is bit-identical to an\n"
        "uninterrupted one (requires --wal-dir, no\n--stream)"},
-      {"profile-out", "PATH", "also write the profile as JSON"},
       {"trace-prefix", "PATH",
        "write PATH.windows.csv / PATH.assignments.csv"},
       {"geojson", "PATH", "write the road network as GeoJSON"},
@@ -104,7 +103,7 @@ int Main(int argc, char** argv) {
   // core: every event takes the staging-ring + drain-sort path a live
   // gateway uses (core/window_executor.h). The executor's decorator stamps
   // preserve submission order, so results stay bit-identical — this mode
-  // exists to exercise (and profile: intake.*) the serving event path
+  // exists to exercise (and, with --profile, time) the serving event path
   // inside the full simulator.
   const bool stream = flags.HasFlag("stream");
   RequireFlag(spec, "intake-capacity", "stream");
@@ -122,8 +121,11 @@ int Main(int argc, char** argv) {
   }
 
   const Workload workload = GenerateWorkload(spec.city, spec.horizon);
-  // Warm-up, simulation and (with --shards>1 / --stream) serving phases.
+  // --profile: the warm-up and decision phases here, the router and intake
+  // timings on the registry (declared before the core, which it outlives).
   PhaseProfile phases;
+  obs::MetricsRegistry registry;
+  obs::MetricsRegistry* metrics = spec.profile ? &registry : nullptr;
   const std::unique_ptr<DistanceOracle> oracle =
       WarmOracle(spec, workload.network, &phases);
 
@@ -140,26 +142,23 @@ int Main(int argc, char** argv) {
   input.measure_wall_clock = !verify_no_incremental && !verify_restore;
   const SimulationInput reference_input = input;
 
-  const bool want_profile = spec.profile || flags.HasFlag("profile-out");
   CoreBundle serving =
       MakeCore(spec, workload.network, *oracle,
                {.measure_wall_clock = input.measure_wall_clock,
                 .wal_dir = spec.wal_dir,
-                .profile = want_profile ? &phases : nullptr});
+                .metrics = metrics});
   std::printf(
       "%s (1/%.0f): %zu nodes, %zu orders, %zu vehicles, policy=%s, "
       "shards=%d\n",
       spec.city.name.c_str(), spec.scale, workload.network.num_nodes(),
-      workload.orders.size(), input.fleet.size(),
-      serving.policy != nullptr ? serving.policy->name().c_str()
-                                : spec.policy.c_str(),
+      workload.orders.size(), input.fleet.size(), spec.policy.c_str(),
       config.shards);
 
   if (verify_restore) {
     input.after_window = MidpointRestoreHook(spec, serving.sharded.get());
   }
   std::unique_ptr<WindowExecutor> executor;
-  DispatchCore* core = serving.core;
+  DispatchCore* core = serving.sharded.get();
   if (stream) {
     WindowExecutorOptions executor_options;
     executor_options.stages = config.shards;
@@ -167,11 +166,9 @@ int Main(int argc, char** argv) {
         static_cast<std::size_t>(config.intake_queue_capacity);
     executor_options.prestage = config.intake_prestage;
     executor_options.oracle = oracle.get();
-    executor_options.profile = want_profile ? &phases : nullptr;
-    if (serving.sharded != nullptr) {
-      executor_options.router =
-          MakeRegionStageRouter(&serving.sharded->partitioner());
-    }
+    executor_options.router =
+        MakeRegionStageRouter(&serving.sharded->partitioner());
+    executor_options.metrics = metrics;
     executor = std::make_unique<WindowExecutor>(core, executor_options);
     core = executor.get();
   }
@@ -196,7 +193,8 @@ int Main(int argc, char** argv) {
                                 {.measure_wall_clock = false});
     SimulationInput again = reference_input;
     again.config = reference.config;
-    return FingerprintResult(Simulator(std::move(again), fresh.core).Run());
+    return FingerprintResult(
+        Simulator(std::move(again), fresh.sharded.get()).Run());
   };
   const std::uint64_t fingerprint = FingerprintResult(result);
   if (verify_restore &&
@@ -213,31 +211,11 @@ int Main(int argc, char** argv) {
     }
   }
 
-  if (want_profile) {
-    // Warm-up, simulation and serving-router phases, ranked by total
-    // seconds — the serial remainder rises to the top as --threads grows.
+  if (spec.profile) {
+    // Ranked by total seconds — the serial remainder rises to the top as
+    // --threads grows.
     phases.Merge(result.metrics.phases);
-    if (spec.profile) {
-      std::printf("\nper-phase wall-clock profile (threads=%d):\n%s",
-                  config.threads, phases.FormatTable().c_str());
-    }
-    const std::string profile_out = flags.GetString("profile-out");
-    if (!profile_out.empty()) {
-      std::FILE* f = std::fopen(profile_out.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "failed to write %s\n", profile_out.c_str());
-        return 1;
-      }
-      std::fprintf(f,
-                   "{\n"
-                   "  \"schema\": \"foodmatch-fmsim-profile-v1\",\n"
-                   "  \"threads\": %d,\n"
-                   "  \"breakdown\": %s\n"
-                   "}\n",
-                   config.threads, phases.ToJson(2).c_str());
-      std::fclose(f);
-      std::printf("profile json: %s\n", profile_out.c_str());
-    }
+    PrintProfile(phases, registry, config.threads);
   }
 
   if (flags.HasFlag("per-slot")) {

@@ -52,8 +52,7 @@ std::vector<FlagDoc> SharedFlags() {
       {"no-prestage", "",
        "disable producer-side order pre-routing\n(fmsim needs --stream)"},
       {"wal-dir", "PATH",
-       "per-shard write-ahead log + snapshots under\nPATH (forces the "
-       "sharded core; K=1 is\nbit-identical to the plain engine)"},
+       "per-shard write-ahead log + snapshots under\nPATH (bit-neutral)"},
       {"snapshot-every", "N",
        "snapshot cadence in closed windows\n(default 8; requires --wal-dir)"},
       {"trace-out", "PATH",
@@ -204,31 +203,19 @@ std::unique_ptr<DistanceOracle> WarmOracle(const RunSpec& spec,
 CoreBundle MakeCore(const RunSpec& spec, const RoadNetwork& network,
                     const DistanceOracle& oracle, const CoreOptions& options) {
   CoreBundle bundle;
-  const DispatchEngineOptions engine_options{
-      .measure_wall_clock = options.measure_wall_clock};
-  if (spec.config.shards > 1 || !options.wal_dir.empty()) {
-    // (An undersized fleet — fewer vehicles than shards — is warned about
-    // by the sharded engine itself at the first window.)
-    bundle.partitioner =
-        std::make_unique<GridRegionPartitioner>(&network, spec.config.shards);
-    ShardedEngineOptions sharded_options;
-    sharded_options.engine = engine_options;
-    sharded_options.profile = options.profile;
-    sharded_options.metrics = options.metrics;
-    sharded_options.durability.dir = options.wal_dir;
-    sharded_options.durability.snapshot_every_windows =
-        spec.config.snapshot_every_windows;
-    bundle.sharded = std::make_unique<ShardedDispatchEngine>(
-        bundle.partitioner.get(), spec.policy, &oracle, spec.config,
-        spec.policy_options, sharded_options);
-    bundle.core = bundle.sharded.get();
-  } else {
-    bundle.policy = PolicyRegistry::Global().Create(
-        spec.policy, &oracle, spec.config, spec.policy_options);
-    bundle.engine = std::make_unique<DispatchEngine>(
-        bundle.policy.get(), spec.config, engine_options);
-    bundle.core = bundle.engine.get();
-  }
+  // (An undersized fleet — fewer vehicles than shards — is warned about by
+  // the sharded engine itself at the first window.)
+  bundle.partitioner =
+      std::make_unique<GridRegionPartitioner>(&network, spec.config.shards);
+  ShardedEngineOptions sharded_options;
+  sharded_options.engine.measure_wall_clock = options.measure_wall_clock;
+  sharded_options.metrics = options.metrics;
+  sharded_options.durability.dir = options.wal_dir;
+  sharded_options.durability.snapshot_every_windows =
+      spec.config.snapshot_every_windows;
+  bundle.sharded = std::make_unique<ShardedDispatchEngine>(
+      bundle.partitioner.get(), spec.policy, &oracle, spec.config,
+      spec.policy_options, sharded_options);
   return bundle;
 }
 
@@ -265,6 +252,33 @@ bool VerifyFingerprint(const char* run, const char* reference,
   std::printf("verify: %s == %s (%016llx)\n", run, reference,
               static_cast<unsigned long long>(got));
   return true;
+}
+
+void PrintProfile(const PhaseProfile& phases,
+                  const obs::MetricsRegistry& registry, int threads) {
+  std::printf("\nper-phase wall-clock profile (threads=%d):\n%s", threads,
+              phases.FormatTable().c_str());
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  std::vector<const obs::InstrumentValue*> timings;
+  std::size_t width = 9;  // "histogram"
+  for (const obs::InstrumentValue& v : snapshot.instruments) {
+    if (v.kind != obs::InstrumentKind::kHistogram ||
+        !v.name.ends_with("_seconds")) {
+      continue;
+    }
+    timings.push_back(&v);
+    width = std::max(width, v.name.size());
+  }
+  if (timings.empty()) return;
+  std::printf(
+      "\nregistry timings (overlap the phases above; not in the total):\n"
+      "%-*s  %10s  %8s\n",
+      static_cast<int>(width), "histogram", "seconds", "count");
+  for (const obs::InstrumentValue* v : timings) {
+    std::printf("%-*s  %10.3f  %8llu\n", static_cast<int>(width),
+                v->name.c_str(), v->histogram.sum,
+                static_cast<unsigned long long>(v->histogram.count));
+  }
 }
 
 bool FinishTrace(const std::string& path) {

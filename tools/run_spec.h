@@ -7,7 +7,7 @@
 // rings. This file holds everything else: one flag table that drives both
 // --help and the accepted-flag set, one parser for the shared run flags,
 // the oracle warm-up, the core builder, the shard-0 restore hook, the
-// fingerprint check and the trace writer.
+// fingerprint check, the --profile printer and the trace writer.
 #ifndef FOODMATCH_TOOLS_RUN_SPEC_H_
 #define FOODMATCH_TOOLS_RUN_SPEC_H_
 
@@ -20,8 +20,6 @@
 #include "common/flags.h"
 #include "common/profiler.h"
 #include "common/types.h"
-#include "core/assignment_policy.h"
-#include "core/dispatch_engine.h"
 #include "core/policy_registry.h"
 #include "gen/profiles.h"
 #include "gen/workload.h"
@@ -93,24 +91,21 @@ struct CoreOptions {
   // Forwarded to DispatchEngineOptions; match the driver's own setting.
   // Window fingerprints exclude decision time, so true is safe to verify.
   bool measure_wall_clock = true;
-  // Non-empty: per-shard WAL + snapshots here. A WAL forces the sharded
-  // core even at K=1, which is bit-identical to the plain engine.
+  // Non-empty: per-shard WAL + snapshots here.
   std::string wal_dir;
-  PhaseProfile* profile = nullptr;          // sharded router phases
-  obs::MetricsRegistry* metrics = nullptr;  // sharded serving instruments
+  // Serving, oracle and EdgeCache instruments (ShardedEngineOptions).
+  obs::MetricsRegistry* metrics = nullptr;
 };
 
-// A dispatch core plus everything that must stay alive behind it.
+// A dispatch core plus the partitioner that must stay alive behind it.
 struct CoreBundle {
-  std::unique_ptr<AssignmentPolicy> policy;  // plain engine only
-  std::unique_ptr<DispatchEngine> engine;
   std::unique_ptr<GridRegionPartitioner> partitioner;
   std::unique_ptr<ShardedDispatchEngine> sharded;
-  DispatchCore* core = nullptr;
 };
 
-// The plain engine for one shard without a WAL, else the sharded router
-// (each shard builds its policy by name through the registry).
+// The sharded router over --shards region engines, each building its
+// policy by name through the registry. K=1 is a pass-through, bit-identical
+// to a plain DispatchEngine (sharded_engine_test, bench_sharded_serving).
 CoreBundle MakeCore(const RunSpec& spec, const RoadNetwork& network,
                     const DistanceOracle& oracle,
                     const CoreOptions& options = {});
@@ -126,6 +121,13 @@ std::function<void(Seconds now, std::uint64_t window)> MidpointRestoreHook(
 // returns true; otherwise reports the mismatch and returns false.
 bool VerifyFingerprint(const char* run, const char* reference,
                        std::uint64_t got, std::uint64_t want);
+
+// Prints --profile: `phases` (the decision phases, rebuild.plans and
+// oracle.warm, which do not overlap) ranked with their total, then every
+// *_seconds histogram on `registry` (sum, count) in a separate block left
+// out of the total — those regions contain or overlap the phases.
+void PrintProfile(const PhaseProfile& phases,
+                  const obs::MetricsRegistry& registry, int threads);
 
 // Stops the global tracer and writes its events as Chrome trace-event
 // JSON. Returns false (after reporting) on IO error.
