@@ -151,8 +151,8 @@ int Main(int argc, char** argv) {
 
   // ---- Part 3: thread sweep of the parallel assignment pipeline ----
   std::printf(
-      "\nThread sweep (City B, FoodMatch): the FOODGRAPH fill, insertion\n"
-      "candidates, and route rebuilds are sharded across --threads lanes;\n"
+      "\nThread sweep (City B, FoodMatch): order-graph edge weights, the\n"
+      "FOODGRAPH fill, and route rebuilds are sharded across --threads lanes;\n"
       "metrics must be identical for every lane count (asserted below).\n"
       "hardware_concurrency=%u — speedups flatten once lanes exceed it.\n\n",
       std::thread::hardware_concurrency());

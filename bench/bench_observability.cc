@@ -43,36 +43,24 @@ constexpr double kOverheadScale = 80.0;
 constexpr Seconds kStart = 11.0 * 3600.0;
 constexpr Seconds kEnd = 13.0 * 3600.0;
 
+// Every run goes through the sharded core, K=1 included (a gated
+// pass-through), so the obs-on runs wire the same instrument set at every K.
 struct ObsCore {
-  std::unique_ptr<AssignmentPolicy> policy;
-  std::unique_ptr<DispatchEngine> engine;
   std::unique_ptr<GridRegionPartitioner> partitioner;
   std::unique_ptr<ShardedDispatchEngine> sharded;
-  DispatchCore* core = nullptr;
 };
 
 ObsCore MakeCore(const RoadNetwork& network, const DistanceOracle& oracle,
                  const Config& config, obs::MetricsRegistry* metrics) {
   ObsCore bundle;
-  DispatchEngineOptions engine_options;
-  engine_options.measure_wall_clock = false;
-  if (config.shards > 1) {
-    bundle.partitioner =
-        std::make_unique<GridRegionPartitioner>(&network, config.shards);
-    ShardedEngineOptions sharded_options;
-    sharded_options.engine = engine_options;
-    sharded_options.metrics = metrics;
-    bundle.sharded = std::make_unique<ShardedDispatchEngine>(
-        bundle.partitioner.get(), "foodmatch", &oracle, config,
-        PolicyOptions{}, sharded_options);
-    bundle.core = bundle.sharded.get();
-  } else {
-    bundle.policy = PolicyRegistry::Global().Create("foodmatch", &oracle,
-                                                    config, PolicyOptions{});
-    bundle.engine = std::make_unique<DispatchEngine>(bundle.policy.get(),
-                                                     config, engine_options);
-    bundle.core = bundle.engine.get();
-  }
+  bundle.partitioner =
+      std::make_unique<GridRegionPartitioner>(&network, config.shards);
+  ShardedEngineOptions options;
+  options.engine.measure_wall_clock = false;
+  options.metrics = metrics;
+  bundle.sharded = std::make_unique<ShardedDispatchEngine>(
+      bundle.partitioner.get(), "foodmatch", &oracle, config,
+      PolicyOptions{}, options);
   return bundle;
 }
 
@@ -133,11 +121,9 @@ RunOutcome RunOnce(const Instance& inst, int threads, int shards,
   options.oracle = inst.oracle.get();
   options.metrics = registry.get();
   options.stats = &stats;
-  if (bundle.sharded != nullptr) {
-    options.router = MakeRegionStageRouter(&bundle.sharded->partitioner());
-  }
+  options.router = MakeRegionStageRouter(bundle.partitioner.get());
   const std::vector<WindowResult> results =
-      StreamReplay(*bundle.core, inst.stress.events, kStart, kEnd,
+      StreamReplay(*bundle.sharded, inst.stress.events, kStart, kEnd,
                    config.accumulation_window, options);
 
   RunOutcome out;

@@ -127,7 +127,7 @@ int Main(int argc, char** argv) {
                                  entry.oracle.get(), config, PolicyOptions{},
                                  golden_options);
     const std::uint64_t expected = FingerprintWindowResults(
-        ReplayOrderStream(golden, w.fleet, w.orders, start, end, delta));
+        ReplayEventStream(golden, events, start, end, delta));
 
     // Durable run: kill the highest shard at the midpoint window.
     const std::string dir =
@@ -155,10 +155,9 @@ int Main(int argc, char** argv) {
     e.kill_window = total_windows / 2 + 2;
     e.windows = total_windows;
 
-    VectorEventSource source(events);
     bool restored = false;
     const std::vector<WindowResult> results = ReplayEventStream(
-        durable, source, start, end, delta,
+        durable, events, start, end, delta,
         [&](Seconds, std::size_t window_index) {
           if (restored || window_index != e.kill_window) return;
           restored = true;

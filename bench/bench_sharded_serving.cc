@@ -36,10 +36,10 @@
 namespace fm::bench {
 namespace {
 
-// The gate plumbing: fm::ReplayOrderStream (serving/event_replay.h) is the
-// shared event replay the test-side gates also use; the WindowResult
-// fingerprint (FNV-1a over the deterministic fields) is in
-// bench/support.{h,cc}.
+// The gate plumbing: fm::MakeBatchReplayEvents + fm::ReplayEventStream
+// (serving/event_source.h) are the shared event replay the test-side gates
+// also use; the WindowResult fingerprint (FNV-1a over the deterministic
+// fields) is in bench/support.{h,cc}.
 
 std::uint64_t ShardedStreamFingerprint(const Workload& w,
                                        const DistanceOracle& oracle,
@@ -56,7 +56,8 @@ std::uint64_t ShardedStreamFingerprint(const Workload& w,
   ShardedDispatchEngine engine(&partitioner, policy, &oracle, config,
                                PolicyOptions{}, options);
   return FingerprintWindowResults(
-      ReplayOrderStream(engine, w.fleet, w.orders, start, end, 120.0));
+      ReplayEventStream(engine, MakeBatchReplayEvents(w.fleet, w.orders, start),
+                        start, end, 120.0));
 }
 
 struct ShardedEntry {
@@ -134,8 +135,9 @@ int Main(int argc, char** argv) {
     DispatchEngine single(single_policy.get(), config,
                           DispatchEngineOptions{.measure_wall_clock = false});
     const std::uint64_t expected = FingerprintWindowResults(
-        ReplayOrderStream(single, gate_w.fleet, gate_w.orders, start, end,
-                          120.0));
+        ReplayEventStream(
+            single, MakeBatchReplayEvents(gate_w.fleet, gate_w.orders, start),
+            start, end, 120.0));
     const std::uint64_t sharded = ShardedStreamFingerprint(
         gate_w, *gate_entry.oracle, policy, /*shards=*/1, /*threads=*/1,
         start, end);

@@ -57,35 +57,23 @@ constexpr std::size_t kBoundedCapacity = 32;
 constexpr std::size_t kPlainGateCapacity = 256;
 constexpr std::size_t kDefaultCapacity = 4096;
 
+// Every replay goes through the sharded core, K=1 included; the plain
+// DispatchEngine is built only as GateReplayIdentity's reference.
 struct StressCore {
-  std::unique_ptr<AssignmentPolicy> policy;
-  std::unique_ptr<DispatchEngine> engine;
   std::unique_ptr<GridRegionPartitioner> partitioner;
   std::unique_ptr<ShardedDispatchEngine> sharded;
-  DispatchCore* core = nullptr;
 };
 
 StressCore MakeCore(const RoadNetwork& network, const DistanceOracle& oracle,
                     const Config& config) {
   StressCore bundle;
-  DispatchEngineOptions engine_options;
-  engine_options.measure_wall_clock = false;
-  if (config.shards > 1) {
-    bundle.partitioner =
-        std::make_unique<GridRegionPartitioner>(&network, config.shards);
-    ShardedEngineOptions sharded_options;
-    sharded_options.engine = engine_options;
-    bundle.sharded = std::make_unique<ShardedDispatchEngine>(
-        bundle.partitioner.get(), "foodmatch", &oracle, config,
-        PolicyOptions{}, sharded_options);
-    bundle.core = bundle.sharded.get();
-  } else {
-    bundle.policy = PolicyRegistry::Global().Create("foodmatch", &oracle,
-                                                    config, PolicyOptions{});
-    bundle.engine = std::make_unique<DispatchEngine>(bundle.policy.get(),
-                                                     config, engine_options);
-    bundle.core = bundle.engine.get();
-  }
+  bundle.partitioner =
+      std::make_unique<GridRegionPartitioner>(&network, config.shards);
+  ShardedEngineOptions options;
+  options.engine.measure_wall_clock = false;
+  bundle.sharded = std::make_unique<ShardedDispatchEngine>(
+      bundle.partitioner.get(), "foodmatch", &oracle, config,
+      PolicyOptions{}, options);
   return bundle;
 }
 
@@ -205,9 +193,20 @@ void GateLogByteIdentity() {
 
 std::uint64_t SyncFingerprint(const Instance& inst, const Config& config) {
   StressCore bundle = MakeCore(inst.stress.base.network, *inst.oracle, config);
-  VectorEventSource source(inst.stress.events);
   return FingerprintWindowResults(ReplayEventStream(
-      *bundle.core, source, inst.start, inst.end, inst.delta));
+      *bundle.sharded, inst.stress.events, inst.start, inst.end, inst.delta));
+}
+
+// The K=1 reference: a plain DispatchEngine, no router, replayed
+// synchronously.
+std::uint64_t SingleEngineFingerprint(const Instance& inst) {
+  const Config config = MakeConfig(inst, /*threads=*/1, /*shards=*/1);
+  std::unique_ptr<AssignmentPolicy> policy = PolicyRegistry::Global().Create(
+      "foodmatch", inst.oracle.get(), config, PolicyOptions{});
+  DispatchEngine engine(policy.get(), config,
+                        DispatchEngineOptions{.measure_wall_clock = false});
+  return FingerprintWindowResults(ReplayEventStream(
+      engine, inst.stress.events, inst.start, inst.end, inst.delta));
 }
 
 std::uint64_t StreamedFingerprint(const Instance& inst, const Config& config,
@@ -219,11 +218,9 @@ std::uint64_t StreamedFingerprint(const Instance& inst, const Config& config,
   options.queue_capacity =
       static_cast<std::size_t>(config.intake_queue_capacity);
   options.oracle = inst.oracle.get();
-  if (bundle.sharded != nullptr) {
-    options.router = MakeRegionStageRouter(&bundle.sharded->partitioner());
-  }
+  options.router = MakeRegionStageRouter(bundle.partitioner.get());
   return FingerprintWindowResults(StreamReplay(
-      *bundle.core, inst.stress.events, inst.start, inst.end, inst.delta,
+      *bundle.sharded, inst.stress.events, inst.start, inst.end, inst.delta,
       options));
 }
 
@@ -231,9 +228,13 @@ std::uint64_t StreamedFingerprint(const Instance& inst, const Config& config,
 // K=1 sharded == single engine.
 void GateReplayIdentity(const Instance& inst) {
   const std::string& scenario = inst.scenario;
-  const std::uint64_t single = SyncFingerprint(inst, MakeConfig(inst, 1, 1));
+  const std::uint64_t single = SingleEngineFingerprint(inst);
+  // K=1 sharded core, synchronous, must equal the plain single engine.
+  FM_CHECK_MSG(SyncFingerprint(inst, MakeConfig(inst, 1, 1)) == single,
+           "bench_stress: GATE FAILED — scenario '" + scenario +
+               "' K=1 does not match the single engine");
   for (int shards : {1, 4}) {
-    // Sharded even at K=1 so the K=1 == single-engine gate is explicit.
+    // At K=1 every streamed sharded run is held to the plain engine too.
     const std::uint64_t want =
         shards == 1 ? single
                     : SyncFingerprint(inst, MakeConfig(inst, 1, shards));
@@ -254,10 +255,6 @@ void GateReplayIdentity(const Instance& inst) {
         "threads x producers in {1,4}^2\n",
         scenario.c_str(), shards, static_cast<unsigned long long>(want));
   }
-  // K=1 sharded core, streamed, must equal the single engine too.
-  FM_CHECK_MSG(StreamedFingerprint(inst, MakeConfig(inst, 1, 1), 1) == single,
-           "bench_stress: GATE FAILED — scenario '" + scenario +
-               "' K=1 does not match the single engine");
 }
 
 // ---- Part 2: the serving sweep ----
@@ -292,12 +289,10 @@ SweepEntry RunSweep(const Instance& inst, double scale, int shards) {
   options.stages = config.shards;
   options.queue_capacity = inst.capacity;
   options.oracle = inst.oracle.get();
-  if (bundle.sharded != nullptr) {
-    options.router = MakeRegionStageRouter(&bundle.sharded->partitioner());
-  }
+  options.router = MakeRegionStageRouter(bundle.partitioner.get());
   options.stats = &stats;
   const std::vector<WindowResult> results = StreamReplay(
-      *bundle.core, inst.stress.events, inst.start, inst.end, inst.delta,
+      *bundle.sharded, inst.stress.events, inst.start, inst.end, inst.delta,
       options);
 
   SweepEntry e;
@@ -315,8 +310,7 @@ SweepEntry RunSweep(const Instance& inst, double scale, int shards) {
   e.retirements = inst.stress.retirements;
   e.windows = results.size();
   e.blocked_pushes = stats.blocked_pushes;
-  e.migrations =
-      bundle.sharded != nullptr ? bundle.sharded->migrations() : 0;
+  e.migrations = bundle.sharded->migrations();
   e.wall_seconds = stats.wall_seconds;
   e.orders_per_second =
       stats.wall_seconds > 0.0

@@ -176,7 +176,7 @@ double ImprovementPercent(double baseline, double ours,
 // ---- Serving-gate helpers ----
 //
 // Event replay and the WindowResult fingerprint both live in the library
-// (serving/event_replay.h; fm::FingerprintWindowResults in
+// (serving/event_source.h; fm::FingerprintWindowResults in
 // core/fingerprint.h) so the test-side gates, the bench-side gates, and
 // the tools all hash the same scheme — unqualified calls here resolve to
 // the fm:: function through the enclosing namespace.

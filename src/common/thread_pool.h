@@ -17,8 +17,8 @@
 //     a plain loop on the calling thread, byte-identical to the
 //     pre-threading code path.
 //
-// RNG note: the hot paths parallelized so far (FOODGRAPH edge fill,
-// insertion-candidate evaluation, route rebuilds) are RNG-free. Code that
+// RNG note: the hot paths parallelized so far (order-graph edge weights,
+// FOODGRAPH edge fill, route rebuilds) are RNG-free. Code that
 // does need randomness inside a ParallelFor must derive one Rng per *shard
 // index* (e.g. Rng(seed ^ shard)) — never share a generator across shards —
 // so the stream consumed by shard i is independent of the thread count.

@@ -60,7 +60,6 @@
 #include "io/csv.h"            // IWYU pragma: export
 #include "io/geojson.h"        // IWYU pragma: export
 #include "io/table_printer.h"  // IWYU pragma: export
-#include "io/workload_io.h"    // IWYU pragma: export
 #include "matching/brute_force.h"   // IWYU pragma: export
 #include "matching/hungarian.h"     // IWYU pragma: export
 #include "model/config.h"      // IWYU pragma: export
@@ -71,11 +70,9 @@
 #include "obs/telemetry.h"         // IWYU pragma: export
 #include "obs/trace.h"             // IWYU pragma: export
 #include "routing/costs.h"     // IWYU pragma: export
-#include "routing/insertion_planner.h"  // IWYU pragma: export
 #include "routing/route_plan.h"     // IWYU pragma: export
 #include "routing/route_planner.h"  // IWYU pragma: export
 #include "serving/event_log.h"                // IWYU pragma: export
-#include "serving/event_replay.h"             // IWYU pragma: export
 #include "serving/event_source.h"             // IWYU pragma: export
 #include "serving/region_partitioner.h"       // IWYU pragma: export
 #include "serving/sharded_dispatch_engine.h"  // IWYU pragma: export

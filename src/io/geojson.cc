@@ -36,30 +36,6 @@ std::string NetworkToGeoJson(const RoadNetwork& network, int slot) {
   return out;
 }
 
-std::string RouteToGeoJson(const RoadNetwork& network,
-                           const std::vector<NodeId>& node_path,
-                           const RoutePlan& plan) {
-  std::string out = R"({"type":"FeatureCollection","features":[)";
-  // The path LineString.
-  out += R"({"type":"Feature","properties":{"kind":"route"},)"
-         R"("geometry":{"type":"LineString","coordinates":[)";
-  for (std::size_t i = 0; i < node_path.size(); ++i) {
-    if (i > 0) out += ',';
-    out += Coord(network.node_position(node_path[i]));
-  }
-  out += "]}}";
-  // One Point per stop.
-  for (const Stop& stop : plan.stops) {
-    out += StrFormat(
-        R"(,{"type":"Feature","properties":{"kind":"%s","order":%u},)"
-        R"("geometry":{"type":"Point","coordinates":%s}})",
-        stop.type == StopType::kPickup ? "pickup" : "dropoff", stop.order,
-        Coord(network.node_position(stop.node)).c_str());
-  }
-  out += "]}";
-  return out;
-}
-
 void WriteGeoJsonFile(const std::string& path, const std::string& geojson) {
   FILE* f = std::fopen(path.c_str(), "w");
   FM_CHECK_MSG(f != nullptr, "cannot open for writing: " << path);

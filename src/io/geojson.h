@@ -1,17 +1,13 @@
-// GeoJSON export for road networks and route plans.
+// GeoJSON export for road networks.
 //
-// Lets users drop a generated city or a vehicle's route onto geojson.io /
-// kepler.gl for visual inspection — the library-side equivalent of the
-// paper's map-matched GPS trajectories.
+// Lets users drop a generated city onto geojson.io / kepler.gl for visual
+// inspection (fmsim --geojson).
 #ifndef FOODMATCH_IO_GEOJSON_H_
 #define FOODMATCH_IO_GEOJSON_H_
 
 #include <string>
-#include <vector>
 
-#include "common/types.h"
 #include "graph/road_network.h"
-#include "routing/route_plan.h"
 
 namespace fm {
 
@@ -19,12 +15,6 @@ namespace fm {
 // one feature per undirected road), with a "seconds" property holding the
 // slot-`slot` travel time.
 std::string NetworkToGeoJson(const RoadNetwork& network, int slot = 12);
-
-// FeatureCollection with one LineString following `node_path` plus Point
-// features for the stops of `plan` (properties: order id, stop type).
-std::string RouteToGeoJson(const RoadNetwork& network,
-                           const std::vector<NodeId>& node_path,
-                           const RoutePlan& plan);
 
 // Convenience: writes `geojson` to `path`; aborts on IO failure.
 void WriteGeoJsonFile(const std::string& path, const std::string& geojson);

@@ -33,8 +33,7 @@ struct Config {
   // batch's first pickup get an Ω edge (paper: 45 min).
   Seconds max_first_mile = 2700.0;
   // Execution lanes for the batch-assignment pipeline (FOODGRAPH edge fill
-  // and route rebuilds; PlanRouteByInsertion also shards when a caller
-  // hands it a pool). 1 = fully serial (default); 0 = use the hardware
+  // and route rebuilds). 1 = fully serial (default); 0 = use the hardware
   // concurrency. Results are bit-identical for any value — parallelism is
   // statically sharded (see common/thread_pool.h).
   int threads = 1;

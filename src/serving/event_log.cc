@@ -51,46 +51,59 @@ void WriteEventLog(const std::string& path,
   FM_CHECK_MSG(out.good(), "event log write failed");
 }
 
-std::vector<StampedEvent> ReadEventLog(const std::string& path) {
+std::vector<StampedEvent> ReadEventLog(const std::string& path,
+                                       std::size_t num_nodes) {
   std::ifstream in(path);
   FM_CHECK_MSG(in.good(), "cannot open event log for reading");
   std::vector<StampedEvent> events;
   std::string line;
   int line_number = 0;
+  const auto check_node = [&](unsigned long long node) {
+    FM_CHECK_MSG(node < num_nodes, "event log line "
+                                       << line_number << ": node id " << node
+                                       << " out of range (network has "
+                                       << num_nodes << " nodes)");
+    return static_cast<NodeId>(node);
+  };
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
     unsigned long long seq = 0;
     double ts = 0.0;
+    // Characters the format consumed; %n stores it only if every field
+    // before it parsed.
+    int consumed = -1;
     StampedEvent stamped;
     bool ok = false;
     switch (line[0]) {
       case 'V': {
-        unsigned vehicle = 0, node = 0;
+        unsigned vehicle = 0;
+        unsigned long long node = 0;
         int on_duty = 0;
-        ok = std::sscanf(line.c_str(), "V,%llu,%lf,%u,%u,%d", &seq, &ts,
-                         &vehicle, &node, &on_duty) == 5;
+        ok = std::sscanf(line.c_str(), "V,%llu,%lf,%u,%llu,%d%n", &seq, &ts,
+                         &vehicle, &node, &on_duty, &consumed) == 5;
         if (ok) {
           VehicleSnapshot snap;
           snap.id = static_cast<VehicleId>(vehicle);
-          snap.location = static_cast<NodeId>(node);
-          snap.next_destination = static_cast<NodeId>(node);
+          snap.location = check_node(node);
+          snap.next_destination = snap.location;
           stamped.event = VehicleStateUpdate{snap, on_duty != 0};
         }
         break;
       }
       case 'O': {
-        unsigned order = 0, restaurant = 0, customer = 0;
+        unsigned order = 0;
+        unsigned long long restaurant = 0, customer = 0;
         int items = 0;
         double prep = 0.0;
-        ok = std::sscanf(line.c_str(), "O,%llu,%lf,%u,%u,%u,%d,%lf", &seq,
-                         &ts, &order, &restaurant, &customer, &items,
-                         &prep) == 7;
+        ok = std::sscanf(line.c_str(), "O,%llu,%lf,%u,%llu,%llu,%d,%lf%n",
+                         &seq, &ts, &order, &restaurant, &customer, &items,
+                         &prep, &consumed) == 7;
         if (ok) {
           Order o;
           o.id = static_cast<OrderId>(order);
-          o.restaurant = static_cast<NodeId>(restaurant);
-          o.customer = static_cast<NodeId>(customer);
+          o.restaurant = check_node(restaurant);
+          o.customer = check_node(customer);
           o.placed_at = ts;
           o.items = items;
           o.prep_time = prep;
@@ -100,8 +113,8 @@ std::vector<StampedEvent> ReadEventLog(const std::string& path) {
       }
       case 'D': {
         unsigned order = 0, vehicle = 0;
-        ok = std::sscanf(line.c_str(), "D,%llu,%lf,%u,%u", &seq, &ts, &order,
-                         &vehicle) == 4;
+        ok = std::sscanf(line.c_str(), "D,%llu,%lf,%u,%u%n", &seq, &ts,
+                         &order, &vehicle, &consumed) == 4;
         if (ok) {
           stamped.event = OrderDelivered{static_cast<OrderId>(order),
                                          static_cast<VehicleId>(vehicle)};
@@ -110,20 +123,26 @@ std::vector<StampedEvent> ReadEventLog(const std::string& path) {
       }
       case 'R': {
         unsigned vehicle = 0;
-        ok = std::sscanf(line.c_str(), "R,%llu,%lf,%u", &seq, &ts,
-                         &vehicle) == 3;
+        ok = std::sscanf(line.c_str(), "R,%llu,%lf,%u%n", &seq, &ts, &vehicle,
+                         &consumed) == 3;
         if (ok) stamped.event = VehicleRetired{static_cast<VehicleId>(vehicle)};
         break;
       }
       default:
         break;
     }
-    FM_CHECK_MSG(ok, "malformed event log line");
+    FM_CHECK_MSG(ok, "malformed event log line " << line_number << ": "
+                                                  << line);
+    FM_CHECK_MSG(static_cast<std::size_t>(consumed) == line.size(),
+                 "event log line " << line_number
+                                   << ": characters after the last field: "
+                                   << line);
     stamped.sequence = static_cast<std::uint64_t>(seq);
     stamped.timestamp = ts;
     if (!events.empty()) {
       FM_CHECK_MSG(StampedBefore(events.back(), stamped),
-                   "event log not in (ts, seq) stream order");
+                   "event log line " << line_number
+                                     << " not in (ts, seq) stream order");
     }
     events.push_back(std::move(stamped));
   }

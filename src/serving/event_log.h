@@ -24,6 +24,7 @@
 #ifndef FOODMATCH_SERVING_EVENT_LOG_H_
 #define FOODMATCH_SERVING_EVENT_LOG_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -36,10 +37,14 @@ namespace fm {
 void WriteEventLog(const std::string& path,
                    const std::vector<StampedEvent>& events);
 
-// Parses an event log. Aborts (FM_CHECK) on an unreadable file, a
-// malformed line, or a stream that is not sorted by (ts, seq) — a corrupt
-// log must fail loudly, not replay subtly wrong.
-std::vector<StampedEvent> ReadEventLog(const std::string& path);
+// Parses an event log recorded against a network of `num_nodes` nodes.
+// Aborts (FM_CHECK, naming the line) on an unreadable file, a malformed
+// line, characters after a line's last field, a node id (V node, O
+// restaurant or customer) >= `num_nodes`, or a stream that is not sorted by
+// (ts, seq) — a corrupt log must fail loudly, not replay subtly wrong or
+// crash inside the oracle.
+std::vector<StampedEvent> ReadEventLog(const std::string& path,
+                                       std::size_t num_nodes);
 
 }  // namespace fm
 

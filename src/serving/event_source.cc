@@ -34,18 +34,17 @@ std::vector<StampedEvent> MakeBatchReplayEvents(
 }
 
 std::vector<WindowResult> ReplayEventStream(
-    DispatchCore& core, EventSource& source, Seconds start, Seconds end,
-    Seconds delta,
+    DispatchCore& core, const std::vector<StampedEvent>& events,
+    Seconds start, Seconds end, Seconds delta,
     const std::function<void(Seconds now, std::size_t window_index)>&
         after_window) {
   FM_CHECK_GT(delta, 0.0);
   std::vector<WindowResult> results;
-  StampedEvent pending;
-  bool have_pending = source.Next(&pending);
+  std::size_t cursor = 0;
   for (Seconds now = start + delta; now <= end; now += delta) {
-    while (have_pending && pending.timestamp <= now) {
-      ApplyEvent(core, std::move(pending.event));
-      have_pending = source.Next(&pending);
+    for (; cursor < events.size() && events[cursor].timestamp <= now;
+         ++cursor) {
+      ApplyEvent(core, events[cursor].event);
     }
     results.push_back(core.Handle(WindowClosed{now}));
     if (after_window) after_window(now, results.size() - 1);

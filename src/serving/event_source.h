@@ -1,15 +1,14 @@
-// Event sources: where a replay's stamped event stream comes from.
+// The canonical stamped event stream and its synchronous feed loop.
 //
-// PR 5 left serving with one hardwired driver, ReplayOrderStream, that
-// synthesized its event stream inline from a fleet + sorted order list.
-// This header splits "where events come from" (an EventSource) from "how
-// they are fed" (ReplayEventStream below, or the concurrent StreamReplay in
-// serving/streaming_replay.h), so the same canonical stream can be replayed
-// synchronously, pushed through intake queues by producer threads, or read
-// back from a timestamped log on disk (serving/event_log.h) — and the
-// equivalence tests can assert all of them bit-identical.
+// MakeBatchReplayEvents synthesizes the static-fleet stream from a fleet +
+// sorted order list; event logs on disk (serving/event_log.h) and the stress
+// generator (stress/stress_gen.h) produce the same StampedEvent vectors.
+// ReplayEventStream feeds such a stream synchronously; StreamReplay
+// (serving/streaming_replay.h) pushes it through intake queues from
+// producer threads instead, and the equivalence gates assert the two
+// bit-identical.
 //
-// Stream contract: an EventSource yields StampedEvents in nondecreasing
+// Stream contract: a stream is a vector of StampedEvents in nondecreasing
 // (timestamp, sequence) order with sequences unique across the stream. The
 // stamps ARE the canonical order — any consumer that re-sorts by
 // StampedBefore (core/window_executor.h) reconstructs exactly this stream.
@@ -18,7 +17,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -27,32 +25,6 @@
 #include "model/vehicle.h"
 
 namespace fm {
-
-// A pull-based stream of stamped intake events.
-class EventSource {
- public:
-  virtual ~EventSource() = default;
-
-  // Yields the next event, or returns false when the stream is exhausted.
-  virtual bool Next(StampedEvent* event) = 0;
-};
-
-// An in-memory source over a pre-built (sorted, uniquely-sequenced) vector.
-class VectorEventSource : public EventSource {
- public:
-  explicit VectorEventSource(std::vector<StampedEvent> events)
-      : events_(std::move(events)) {}
-
-  bool Next(StampedEvent* event) override {
-    if (cursor_ >= events_.size()) return false;
-    *event = events_[cursor_++];
-    return true;
-  }
-
- private:
-  std::vector<StampedEvent> events_;
-  std::size_t cursor_ = 0;
-};
 
 // Builds the canonical static-fleet batch-replay stream: every vehicle
 // announced once at `start` (sequences 0..fleet-1, announcement order),
@@ -66,17 +38,17 @@ std::vector<StampedEvent> MakeBatchReplayEvents(
     const std::vector<Vehicle>& fleet, const std::vector<Order>& orders,
     Seconds start);
 
-// Drives `core` synchronously from `source`: each window feeds every event
-// with timestamp <= now in stream order, then closes the window. Windows
-// run at start+delta, start+2*delta, ... while <= end. Events stamped
-// beyond `end` are left unread. Returns one WindowResult per window.
-// `after_window`, when set, runs after each window's result is recorded —
-// a quiescent point (no event in flight), which is what the recovery
-// drivers use to kill and restore a shard mid-replay (tools/fmsim.cc,
-// tests/recovery_test.cc).
+// Drives `core` synchronously from `events` (sorted as above): each window
+// feeds every event with timestamp <= now in stream order, then closes the
+// window. Windows run at start+delta, start+2*delta, ... while <= end.
+// Events stamped beyond `end` are never applied. Returns one WindowResult
+// per window. `after_window`, when set, runs after each window's result is
+// recorded — a quiescent point (no event in flight), which is what the
+// recovery drivers use to kill and restore a shard mid-replay
+// (bench_recovery, tests/recovery_test.cc).
 std::vector<WindowResult> ReplayEventStream(
-    DispatchCore& core, EventSource& source, Seconds start, Seconds end,
-    Seconds delta,
+    DispatchCore& core, const std::vector<StampedEvent>& events,
+    Seconds start, Seconds end, Seconds delta,
     const std::function<void(Seconds now, std::size_t window_index)>&
         after_window = {});
 

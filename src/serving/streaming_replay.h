@@ -3,7 +3,7 @@
 //
 // This is the serving-side harness over the core intake/executor split
 // (core/intake_stage.h, core/window_executor.h). StreamReplay takes the
-// same canonical event stream ReplayOrderStream feeds synchronously
+// same canonical event stream ReplayEventStream feeds synchronously
 // (serving/event_source.h) and runs it the way a live gateway would:
 //
 //   * the stream is split into P contiguous chunks, one free-running
@@ -89,7 +89,7 @@ struct StreamReplayOptions {
 // `core` through a WindowExecutor, closing one window every `delta` over
 // (start, end]. Events stamped beyond `end` are never submitted. Returns
 // one WindowResult per window — bit-identical to
-// ReplayEventStream(core, VectorEventSource(events), start, end, delta).
+// ReplayEventStream(core, events, start, end, delta).
 std::vector<WindowResult> StreamReplay(DispatchCore& core,
                                        const std::vector<StampedEvent>& events,
                                        Seconds start, Seconds end,

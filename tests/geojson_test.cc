@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/dijkstra.h"
 #include "io/geojson.h"
 #include "tests/test_util.h"
 
@@ -35,18 +34,6 @@ TEST(GeoJsonTest, CoordinatesAreLonLat) {
   EXPECT_NE(geojson.find("[77.250000,12.500000]"), std::string::npos);
 }
 
-TEST(GeoJsonTest, RouteExportContainsPathAndStops) {
-  RoadNetwork net = testing::LineNetwork(8);
-  auto path = ShortestPathNodes(net, 0, 5, 0);
-  RoutePlan plan;
-  plan.stops = {{2, 7, StopType::kPickup}, {5, 7, StopType::kDropoff}};
-  const std::string geojson = RouteToGeoJson(net, path, plan);
-  EXPECT_NE(geojson.find("\"route\""), std::string::npos);
-  EXPECT_NE(geojson.find("\"pickup\""), std::string::npos);
-  EXPECT_NE(geojson.find("\"dropoff\""), std::string::npos);
-  EXPECT_NE(geojson.find("\"order\":7"), std::string::npos);
-}
-
 TEST(GeoJsonTest, WritesFile) {
   RoadNetwork net = testing::LineNetwork(3);
   const std::string path = ::testing::TempDir() + "/net.geojson";
@@ -61,20 +48,16 @@ TEST(GeoJsonTest, WritesFile) {
 
 TEST(GeoJsonTest, BalancedBracesAndBrackets) {
   RoadNetwork net = testing::LineNetwork(6);
-  for (const std::string& geojson :
-       {NetworkToGeoJson(net),
-        RouteToGeoJson(net, {0, 1, 2}, RoutePlan{})}) {
-    int braces = 0;
-    int brackets = 0;
-    for (char c : geojson) {
-      if (c == '{') ++braces;
-      if (c == '}') --braces;
-      if (c == '[') ++brackets;
-      if (c == ']') --brackets;
-    }
-    EXPECT_EQ(braces, 0);
-    EXPECT_EQ(brackets, 0);
+  int braces = 0;
+  int brackets = 0;
+  for (char c : NetworkToGeoJson(net)) {
+    if (c == '{') ++braces;
+    if (c == '}') --braces;
+    if (c == '[') ++brackets;
+    if (c == ']') --brackets;
   }
+  EXPECT_EQ(braces, 0);
+  EXPECT_EQ(brackets, 0);
 }
 
 }  // namespace

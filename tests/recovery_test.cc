@@ -551,8 +551,7 @@ TEST(ResidentStateTest, CaptureRestoreContinuesBitIdentically) {
       PolicyRegistry::Global().Create("foodmatch", &oracle, config);
   DispatchEngine a(policy_a.get(), config,
                    DispatchEngineOptions{.measure_wall_clock = false});
-  VectorEventSource first_half(events);
-  ReplayEventStream(a, first_half, start, mid, 120.0);
+  ReplayEventStream(a, events, start, mid, 120.0);
 
   const EngineResidentState state = a.CaptureResidentState();
   std::unique_ptr<AssignmentPolicy> policy_b =
@@ -569,10 +568,8 @@ TEST(ResidentStateTest, CaptureRestoreContinuesBitIdentically) {
   for (const StampedEvent& e : events) {
     if (e.timestamp > mid) rest.push_back(e);
   }
-  VectorEventSource rest_a(rest);
-  VectorEventSource rest_b(rest);
-  ExpectWindowResultsEqual(ReplayEventStream(a, rest_a, mid, end, 120.0),
-                           ReplayEventStream(b, rest_b, mid, end, 120.0));
+  ExpectWindowResultsEqual(ReplayEventStream(a, rest, mid, end, 120.0),
+                           ReplayEventStream(b, rest, mid, end, 120.0));
 }
 
 TEST(ResidentStateDeathTest, RestoreRequiresAFreshEngine) {
@@ -623,9 +620,8 @@ void RunKillRestoreGate(int shards, int snapshot_every, std::uint64_t seed,
 
   // Golden: uninterrupted, durability off entirely.
   auto golden_core = make_core("");
-  VectorEventSource golden_source(events);
   const std::vector<WindowResult> golden =
-      ReplayEventStream(*golden_core, golden_source, start, end, 120.0);
+      ReplayEventStream(*golden_core, events, start, end, 120.0);
   ASSERT_GT(golden.size(), 3u);
 
   // Pick the kill point and victim shard from the seed, never the last
@@ -642,9 +638,8 @@ void RunKillRestoreGate(int shards, int snapshot_every, std::uint64_t seed,
   std::uint64_t expected_state = 0;
   {
     auto reference = make_core(TestDir("recovery-ref-" + tag));
-    VectorEventSource source(events);
     const std::vector<WindowResult> results = ReplayEventStream(
-        *reference, source, start, end, 120.0,
+        *reference, events, start, end, 120.0,
         [&](Seconds, std::size_t w) {
           if (w == kill_window) {
             expected_state = FingerprintResidentState(
@@ -657,11 +652,10 @@ void RunKillRestoreGate(int shards, int snapshot_every, std::uint64_t seed,
 
   // The kill-restore run.
   auto durable = make_core(TestDir("recovery-kill-" + tag));
-  VectorEventSource source(events);
   RecoveryReport report;
   bool restored = false;
   const std::vector<WindowResult> results = ReplayEventStream(
-      *durable, source, start, end, 120.0,
+      *durable, events, start, end, 120.0,
       [&](Seconds, std::size_t w) {
         if (restored || w != kill_window) return;
         restored = true;
@@ -725,17 +719,15 @@ TEST(KillRestoreGateTest, TornTailOnLiveShardRecoversAndResumes) {
   golden_options.engine.measure_wall_clock = false;
   ShardedDispatchEngine golden_core(&partitioner, "foodmatch", &oracle,
                                     config, PolicyOptions{}, golden_options);
-  VectorEventSource golden_source(events);
   const std::vector<WindowResult> golden =
-      ReplayEventStream(golden_core, golden_source, start, end, 120.0);
+      ReplayEventStream(golden_core, events, start, end, 120.0);
 
   const std::string dir = TestDir("recovery-torn-live");
   auto durable = make_core(dir);
-  VectorEventSource source(events);
   bool restored = false;
   RecoveryReport report;
   const std::vector<WindowResult> results = ReplayEventStream(
-      *durable, source, start, end, 120.0,
+      *durable, events, start, end, 120.0,
       [&](Seconds, std::size_t w) {
         if (restored || w != 7) return;
         restored = true;

@@ -19,7 +19,7 @@
 #include "gen/city_gen.h"
 #include "graph/distance_oracle.h"
 #include "obs/metrics_registry.h"
-#include "serving/event_replay.h"
+#include "serving/event_source.h"
 #include "serving/region_partitioner.h"
 #include "serving/sharded_dispatch_engine.h"
 
@@ -335,8 +335,8 @@ Scenario MakeScenario(std::uint64_t seed, int num_vehicles, int num_orders,
 std::vector<WindowResult> DriveScenario(DispatchCore& core, const Scenario& s,
                                         Seconds delta, Seconds horizon) {
   const Seconds start = 12 * 3600.0;
-  return ReplayOrderStream(core, s.fleet, s.orders, start, start + horizon,
-                           delta);
+  return ReplayEventStream(core, MakeBatchReplayEvents(s.fleet, s.orders, start),
+                           start, start + horizon, delta);
 }
 
 void ExpectWindowResultsEqual(const std::vector<WindowResult>& a,

@@ -25,7 +25,6 @@
 #include "graph/distance_oracle.h"
 #include "obs/metrics_registry.h"
 #include "serving/event_log.h"
-#include "serving/event_replay.h"
 #include "serving/event_source.h"
 #include "serving/region_partitioner.h"
 #include "serving/sharded_dispatch_engine.h"
@@ -235,9 +234,10 @@ TEST(WindowExecutorTest, DecoratorPathBitIdenticalToSynchronousEngine) {
       PolicyRegistry::Global().Create("foodmatch", &oracle, config);
   DispatchEngine direct(policy.get(), config,
                         DispatchEngineOptions{.measure_wall_clock = false});
+  const std::vector<StampedEvent> events =
+      MakeBatchReplayEvents(s.fleet, s.orders, start);
   const std::vector<WindowResult> expected =
-      ReplayOrderStream(direct, s.fleet, s.orders, start, start + 1800.0,
-                        120.0);
+      ReplayEventStream(direct, events, start, start + 1800.0, 120.0);
 
   std::unique_ptr<AssignmentPolicy> policy2 =
       PolicyRegistry::Global().Create("foodmatch", &oracle, config);
@@ -248,8 +248,7 @@ TEST(WindowExecutorTest, DecoratorPathBitIdenticalToSynchronousEngine) {
   options.oracle = &oracle;
   WindowExecutor executor(&engine, options);
   const std::vector<WindowResult> streamed =
-      ReplayOrderStream(executor, s.fleet, s.orders, start, start + 1800.0,
-                        120.0);
+      ReplayEventStream(executor, events, start, start + 1800.0, 120.0);
   ExpectWindowResultsEqual(expected, streamed);
   EXPECT_EQ(executor.dropped_invalid(), 0u);
   EXPECT_EQ(executor.retained_events(), 0u);
@@ -391,9 +390,8 @@ TEST(StreamingEquivalenceTest, BitIdenticalAcrossProducersAndShards) {
     std::unique_ptr<ShardedDispatchEngine> batch_sharded;
     DispatchCore* batch_core =
         make_core(&batch_policy, &batch_engine, &batch_sharded);
-    VectorEventSource source(events);
     const std::vector<WindowResult> expected =
-        ReplayEventStream(*batch_core, source, start, end, delta);
+        ReplayEventStream(*batch_core, events, start, end, delta);
 
     // Flat out, and paced so the 1 800 s horizon replays in ~0.1 s of wall
     // clock (fmserve --speedup): pacing only moves wall time, never results.
@@ -441,7 +439,8 @@ TEST(EventLogTest, RoundTripPreservesStreamAndResults) {
 
   const std::string path = ::testing::TempDir() + "intake_roundtrip.log";
   WriteEventLog(path, events);
-  const std::vector<StampedEvent> reread = ReadEventLog(path);
+  const std::vector<StampedEvent> reread =
+      ReadEventLog(path, s.network.num_nodes());
   std::remove(path.c_str());
 
   ASSERT_EQ(reread.size(), events.size());
@@ -470,8 +469,7 @@ TEST(EventLogTest, RoundTripPreservesStreamAndResults) {
         PolicyRegistry::Global().Create("foodmatch", &oracle, config);
     DispatchEngine engine(policy.get(), config,
                           DispatchEngineOptions{.measure_wall_clock = false});
-    VectorEventSource source(stream);
-    return ReplayEventStream(engine, source, start, start + 1200.0, 120.0);
+    return ReplayEventStream(engine, stream, start, start + 1200.0, 120.0);
   };
   ExpectWindowResultsEqual(run(events), run(reread));
 }
@@ -484,7 +482,39 @@ TEST(EventLogDeathTest, MalformedLineDies) {
     std::fputs("# foodmatch-event-log-v1\nX,0,0.0,1\n", f);
     std::fclose(f);
   }
-  EXPECT_DEATH(ReadEventLog(path), "malformed event log line");
+  EXPECT_DEATH(ReadEventLog(path, 10), "malformed event log line 2");
+  std::remove(path.c_str());
+}
+
+// A node id the network does not have must stop the read, naming the line,
+// before it reaches the oracle (where it would index out of bounds).
+TEST(EventLogDeathTest, OutOfRangeNodeDies) {
+  const std::string path = ::testing::TempDir() + "intake_bad_node.log";
+  for (const char* restaurant : {"10", "4000000000"}) {
+    {
+      std::FILE* f = std::fopen(path.c_str(), "w");
+      ASSERT_NE(f, nullptr);
+      std::fprintf(f, "# foodmatch-event-log-v1\nO,0,36000,0,%s,1,1,300\n",
+                   restaurant);
+      std::fclose(f);
+    }
+    EXPECT_DEATH(ReadEventLog(path, 10),
+                 std::string("line 2: node id ") + restaurant +
+                     " out of range");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(EventLogDeathTest, TrailingCharactersDie) {
+  const std::string path = ::testing::TempDir() + "intake_trailing.log";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("V,0,36000,0,5,1,garbage\n", f);
+    std::fclose(f);
+  }
+  EXPECT_DEATH(ReadEventLog(path, 10),
+               "line 1: characters after the last field");
   std::remove(path.c_str());
 }
 
@@ -496,7 +526,7 @@ TEST(EventLogDeathTest, OutOfOrderStreamDies) {
     std::fputs("R,5,100.0,1\nR,4,50.0,2\n", f);
     std::fclose(f);
   }
-  EXPECT_DEATH(ReadEventLog(path), "stream order");
+  EXPECT_DEATH(ReadEventLog(path, 10), "stream order");
   std::remove(path.c_str());
 }
 

@@ -26,7 +26,6 @@
 #include "geo/geo.h"
 #include "graph/distance_oracle.h"
 #include "serving/event_log.h"
-#include "serving/event_replay.h"
 #include "serving/event_source.h"
 #include "serving/region_partitioner.h"
 #include "serving/sharded_dispatch_engine.h"
@@ -249,7 +248,7 @@ TEST(StressGenTest, EventLogRoundTripIsLossless) {
   const std::string path1 = ::testing::TempDir() + "stress_rt1.log";
   const std::string path2 = ::testing::TempDir() + "stress_rt2.log";
   WriteEventLog(path1, sw.events);
-  const std::vector<StampedEvent> reread = ReadEventLog(path1);
+  const std::vector<StampedEvent> reread = ReadEventLog(path1, sw.base.network.num_nodes());
   ASSERT_EQ(reread.size(), sw.events.size());
   // Re-serializing the parsed stream reproduces the file byte for byte —
   // the log IS the stream.
@@ -277,9 +276,8 @@ TEST(StressReplayTest, BackpressuredStreamMatchesSyncReplayBitForBit) {
   DispatchEngine sync_engine(
       sync_policy.get(), config,
       DispatchEngineOptions{.measure_wall_clock = false});
-  VectorEventSource source(sw.events);
   const std::vector<WindowResult> expected =
-      ReplayEventStream(sync_engine, source, gen_options.start_time,
+      ReplayEventStream(sync_engine, sw.events, gen_options.start_time,
                         gen_options.end_time, 180.0);
 
   std::unique_ptr<AssignmentPolicy> stream_policy =
@@ -323,8 +321,7 @@ TEST(StressReplayTest, ShiftChurnDrivesShardMigrations) {
   options.engine.measure_wall_clock = false;
   ShardedDispatchEngine engine(&partitioner, "greedy", &oracle, config,
                                PolicyOptions{}, options);
-  VectorEventSource source(sw.events);
-  ReplayEventStream(engine, source, gen_options.start_time,
+  ReplayEventStream(engine, sw.events, gen_options.start_time,
                     gen_options.end_time, 180.0);
   // Roaming pings move empty vehicles across region boundaries: the
   // retire-and-reannounce migration path must actually fire under churn.

@@ -130,7 +130,7 @@ int Main(int argc, char** argv) {
       !scenario_name.empty() ? std::move(stress_events)
       : log_path.empty()
           ? MakeBatchReplayEvents(fleet, workload.orders, start)
-          : ReadEventLog(log_path);
+          : ReadEventLog(log_path, workload.network.num_nodes());
   const std::string write_log = flags.GetString("write-log");
   if (!write_log.empty()) {
     WriteEventLog(write_log, events);
@@ -240,11 +240,10 @@ int Main(int argc, char** argv) {
 
   if (flags.HasFlag("verify")) {
     CoreBundle batch = MakeCore(spec, workload.network, *oracle);
-    VectorEventSource source(events);
     if (!VerifyFingerprint(
             "streaming", "synchronous", fingerprint,
             FingerprintWindowResults(ReplayEventStream(
-                *batch.sharded, source, start, end, delta)))) {
+                *batch.sharded, events, start, end, delta)))) {
       return 1;
     }
   }

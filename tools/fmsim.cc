@@ -82,7 +82,7 @@ std::vector<FlagDoc> SimFlags() {
        "event path end to end"},
       {"verify-no-incremental", "",
        "run the day twice — incremental and\nfrom-scratch FOODGRAPH — and "
-       "fail unless\nthe results are bit-identical (single\nengine only)"},
+       "fail unless\nthe results are bit-identical"},
       {"verify-restore", "",
        "kill shard 0 at the mid-run window, restore\nit from snapshot + WAL, "
        "and fail unless the\nfinished run is bit-identical to an\n"
@@ -112,13 +112,10 @@ int Main(int argc, char** argv) {
   RequireFlag(spec, "verify-restore", "wal-dir");
   RejectFlagWith(spec, "verify-restore", "stream");
   // --verify-no-incremental reruns the whole day with a from-scratch
-  // FOODGRAPH and insists on a bit-identical SimulationResult. Only
-  // meaningful on the classic single-engine path: sharded/streaming runs
-  // are gated by their own equivalence machinery.
+  // FOODGRAPH on a fresh synchronous core (same --shards) and insists on a
+  // bit-identical SimulationResult; with --stream it also crosses the
+  // streaming == batch line.
   const bool verify_no_incremental = flags.HasFlag("verify-no-incremental");
-  if (verify_no_incremental && (config.shards > 1 || stream)) {
-    UsageError("--verify-no-incremental requires --shards=1 and no --stream");
-  }
 
   const Workload workload = GenerateWorkload(spec.city, spec.horizon);
   // --profile: the warm-up and decision phases here, the router and intake
