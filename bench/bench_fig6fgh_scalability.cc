@@ -13,12 +13,11 @@
 // Part 3 sweeps the parallel batched-assignment pipeline over --threads
 // {1, 2, 4} and writes the per-phase wall-clocks (batching / FOODGRAPH /
 // KM / rebuild) to BENCH_fig_wallclock.json (override with --out=PATH) —
-// the end-to-end performance anchor that CI uploads per commit — plus the
-// profiler ranking (sub-phases sorted by what remains serial) to
-// BENCH_profile.json (--profile-out=PATH). Results are bit-identical across
-// thread counts (asserted here on the XDT totals), so the sweep measures
-// speed only. Part 4 sweeps the hub-label warm-up the same way and asserts
-// a pool-warmed oracle serves durations identical to a serially warmed one.
+// the end-to-end performance anchor that CI uploads per commit. Results are
+// bit-identical across thread counts (asserted here on the XDT totals), so
+// the sweep measures speed only. Part 4 sweeps the hub-label warm-up the
+// same way and asserts a pool-warmed oracle serves durations identical to a
+// serially warmed one.
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -42,8 +41,6 @@ int Main(int argc, char** argv) {
   }
   const std::string out_path =
       flags.GetString("out", "BENCH_fig_wallclock.json");
-  const std::string profile_path =
-      flags.GetString("profile-out", "BENCH_profile.json");
   PrintBanner("Fig. 6(f-h) — overflown windows and running time",
               "FoodMatch fastest (0% overflow); Greedy slowest");
   Lab lab;
@@ -189,11 +186,6 @@ int Main(int argc, char** argv) {
                   Fmt(m.decision_seconds_total, 3),
                   Fmt(hot > 0.0 ? hot_1t / hot : 1.0, 2) + "x"});
     report.Add("CityB/FoodMatch/sweep", threads, m);
-    if (threads == 1 || threads == 4) {
-      std::printf("profiler breakdown, %d thread(s) — serial remainder on "
-                  "top once the sharded phases shrink:\n%s\n",
-                  threads, m.phases.FormatTable().c_str());
-    }
   }
   sweep.Print();
 
@@ -213,11 +205,7 @@ int Main(int argc, char** argv) {
           .count();
   TablePrinter warm({"threads", "warm-up(s)", "speedup"});
   warm.AddRow({"1", Fmt(serial_warm_s, 3), "1.00x"});
-  {
-    PhaseProfile p;
-    p.Record("oracle.warm", serial_warm_s);
-    report.Add("CityB/WarmSlots", 1, p);
-  }
+  report.AddWarmUp("CityB/WarmSlots", 1, serial_warm_s);
   Rng sample_rng(20260730);
   for (int threads : {2, 4}) {
     DistanceOracle warmed(&warm_net, OracleBackend::kHubLabels);
@@ -244,9 +232,7 @@ int Main(int argc, char** argv) {
     }
     warm.AddRow({Fmt(threads, 0), Fmt(warm_s, 3),
                  Fmt(warm_s > 0.0 ? serial_warm_s / warm_s : 1.0, 2) + "x"});
-    PhaseProfile p;
-    p.Record("oracle.warm", warm_s);
-    report.Add("CityB/WarmSlots", threads, p);
+    report.AddWarmUp("CityB/WarmSlots", threads, warm_s);
   }
   warm.Print();
 
@@ -254,12 +240,6 @@ int Main(int argc, char** argv) {
     std::printf("\nper-phase wall-clocks: %s\n", out_path.c_str());
   } else {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-    return 1;
-  }
-  if (report.WriteProfile(profile_path)) {
-    std::printf("profiler ranking: %s\n", profile_path.c_str());
-  } else {
-    std::fprintf(stderr, "failed to write %s\n", profile_path.c_str());
     return 1;
   }
   return 0;

@@ -13,20 +13,21 @@
 //   2. reports the graph-phase share before/after plus the cache's replay
 //      and memo counters, written to BENCH_incremental.json (--out=PATH) so
 //      CI archives the trajectory of the graph share next to
-//      BENCH_profile.json. `footprint_replays` / `footprint_rebuilds` and
-//      the builds' `nodes_expanded` / `mcost_evaluations` are pure functions
-//      of the event stream (equal for 1 and 4 lanes), and
+//      BENCH_fig_wallclock.json. `footprint_replays` / `footprint_rebuilds`
+//      and the builds' `nodes_expanded` / `mcost_evaluations` are pure
+//      functions of the event stream (equal for 1 and 4 lanes), and
 //      tools/check_bench_regression.py holds them to the anchor exactly. So
 //      it does the cache's resident state at run end, `memo_entries` (summed
 //      over shards) and `footprint_visits`, which are deterministic for a
 //      given lane count: any growth fails the check.
 //
-// Comparability with BENCH_profile.json: the runs use the same 11h–14h
-// horizon as the profiled bench_fig6fgh rows, and `graph_share` is computed
-// the same way — graph-phase seconds over the phase profile's total (which
-// includes rebuild.plans), not over decision_seconds_total. Each case starts
-// with one untimed warm-up run so the from-scratch baseline is not billed
-// for the lazily warmed oracle caches the later passes then get for free.
+// Comparability with BENCH_fig_wallclock.json: the runs use the same
+// 11h–14h horizon as the bench_fig6fgh rows, and `graph_share` is
+// graph-phase seconds over the sum of the four Metrics::phase_*_seconds
+// fields (which includes the route rebuilds), not over
+// decision_seconds_total. Each case starts with one untimed warm-up run so
+// the from-scratch baseline is not billed for the lazily warmed oracle
+// caches the later passes then get for free.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -136,8 +137,8 @@ struct ReportEntry {
   std::string mode;  // "scratch" or "incremental"
   int threads = 1;
   std::uint64_t windows = 0;
-  double graph_seconds = 0.0;    // sum of the graph.* profile phases
-  double profile_seconds = 0.0;  // phase-profile total (BENCH_profile basis)
+  double graph_seconds = 0.0;    // Metrics::phase_graph_seconds
+  double profile_seconds = 0.0;  // sum of the four phase_*_seconds fields
   double decision_seconds = 0.0;
   double graph_share = 0.0;      // graph_seconds / profile_seconds
   double graph_speedup = 1.0;    // scratch graph seconds / this run's
@@ -145,16 +146,6 @@ struct ReportEntry {
   EdgeCacheStats cache;
   bool has_cache = false;
 };
-
-// Graph-phase seconds of one run: every graph.* phase (today `graph.build`,
-// which the scratch and incremental paths both record).
-double GraphPhaseSeconds(const PhaseProfile& phases) {
-  double total = 0.0;
-  for (const auto& [name, stat] : phases.Ranked()) {
-    if (name.rfind("graph.", 0) == 0) total += stat.seconds;
-  }
-  return total;
-}
 
 bool WriteReport(const std::string& path,
                  const std::vector<ReportEntry>& entries) {
@@ -235,8 +226,8 @@ int Main(int argc, char** argv) {
     RunSpec spec;
     spec.profile = c.profile;
     spec.kind = c.kind;
-    // The exact horizon the BENCH_profile.json rows were profiled on, so the
-    // shares below are comparable to the committed graph.build anchor.
+    // The exact horizon of the BENCH_fig_wallclock.json rows, so the shares
+    // below are comparable to the committed graph_s anchor.
     spec.start_time = 11.0 * 3600.0;
     spec.end_time = 14.0 * 3600.0;
     spec.measure_wall_clock = true;
@@ -278,8 +269,9 @@ int Main(int argc, char** argv) {
       e.mode = mode;
       e.threads = threads;
       e.windows = m.windows;
-      e.graph_seconds = GraphPhaseSeconds(m.phases);
-      e.profile_seconds = m.phases.TotalSeconds();
+      e.graph_seconds = m.phase_graph_seconds;
+      e.profile_seconds = m.phase_batching_seconds + m.phase_graph_seconds +
+                          m.phase_matching_seconds + m.phase_rebuild_seconds;
       e.decision_seconds = m.decision_seconds_total;
       e.graph_share =
           e.profile_seconds > 0.0 ? e.graph_seconds / e.profile_seconds : 0.0;
@@ -305,7 +297,7 @@ int Main(int argc, char** argv) {
       entries.push_back(std::move(e));
     };
     const double scratch_graph =
-        GraphPhaseSeconds(scratch.result.metrics.phases);
+        scratch.result.metrics.phase_graph_seconds;
     add("scratch", 1, scratch, scratch_graph);
     add("incremental", 1, inc1, scratch_graph);
     add("incremental", 4, inc4, scratch_graph);

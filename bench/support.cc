@@ -217,55 +217,30 @@ void WallClockReport::Add(const std::string& label, int threads,
   e.matching_seconds = metrics.phase_matching_seconds;
   e.rebuild_seconds = metrics.phase_rebuild_seconds;
   e.decision_seconds = metrics.decision_seconds_total;
-  e.profile = metrics.phases;
   entries_.push_back(std::move(e));
 }
 
-void WallClockReport::Add(const std::string& label, int threads,
-                          const PhaseProfile& profile) {
+void WallClockReport::AddWarmUp(const std::string& label, int threads,
+                                double warm_seconds) {
   WallClockEntry e;
   e.label = label;
   e.threads = threads;
-  e.decision_seconds = profile.TotalSeconds();
-  e.profile = profile;
+  e.warm_seconds = warm_seconds;
   entries_.push_back(std::move(e));
 }
 
 bool WallClockReport::Write(const std::string& path) const {
-  BenchJsonDoc doc("foodmatch-fig-wallclock-v2", bench_);
+  BenchJsonDoc doc("foodmatch-fig-wallclock-v3", bench_);
   for (const WallClockEntry& e : entries_) {
     doc.AddEntry(StrFormat(
         "{\"label\": \"%s\", \"threads\": %d, \"windows\": %llu,\n"
         "     \"phases\": {\"batching_s\": %.6f, \"graph_s\": %.6f, "
-        "\"matching_s\": %.6f, \"rebuild_s\": %.6f},\n"
-        "     \"breakdown\": %s,\n"
+        "\"matching_s\": %.6f, \"rebuild_s\": %.6f, \"warm_s\": %.6f},\n"
         "     \"decision_total_s\": %.6f}",
         e.label.c_str(), e.threads,
         static_cast<unsigned long long>(e.windows), e.batching_seconds,
         e.graph_seconds, e.matching_seconds, e.rebuild_seconds,
-        e.profile.ToJson(5).c_str(), e.decision_seconds));
-  }
-  return doc.Write(path);
-}
-
-bool WallClockReport::WriteProfile(const std::string& path) const {
-  BenchJsonDoc doc("foodmatch-phase-profile-v1", bench_);
-  for (const WallClockEntry& e : entries_) {
-    const double total = e.profile.TotalSeconds();
-    std::string ranked;
-    bool first = true;
-    for (const auto& [name, stat] : e.profile.Ranked()) {
-      ranked += StrFormat(
-          "%s\n      {\"phase\": \"%s\", \"seconds\": %.6f, "
-          "\"share\": %.4f, \"calls\": %llu}",
-          first ? "" : ",", name.c_str(), stat.seconds,
-          total > 0.0 ? stat.seconds / total : 0.0,
-          static_cast<unsigned long long>(stat.calls));
-      first = false;
-    }
-    doc.AddEntry(StrFormat("{\"label\": \"%s\", \"threads\": %d,\n"
-                           "     \"ranked\": [%s\n     ]}",
-                           e.label.c_str(), e.threads, ranked.c_str()));
+        e.warm_seconds, e.decision_seconds));
   }
   return doc.Write(path);
 }

@@ -131,37 +131,28 @@ struct WallClockEntry {
   double graph_seconds = 0.0;
   double matching_seconds = 0.0;
   double rebuild_seconds = 0.0;
+  double warm_seconds = 0.0;      // hub-label warm-up (warm-up rows only)
   double decision_seconds = 0.0;  // total policy decision wall clock
-  // Fine-grained profiler breakdown (Metrics::phases) of the same run.
-  PhaseProfile profile;
 };
 
-// Collects entries and serializes them as BENCH_fig_wallclock.json (and,
-// profiler-ranked, as BENCH_profile.json).
+// Collects entries and serializes them as BENCH_fig_wallclock.json.
 class WallClockReport {
  public:
   // `bench` names the producing binary (e.g. "bench_fig6fgh_scalability").
   explicit WallClockReport(std::string bench);
 
-  // Records one run's phase totals (coarse + profiler breakdown) from its
-  // simulation metrics.
+  // Records one run's phase totals from its simulation metrics.
   void Add(const std::string& label, int threads, const Metrics& metrics);
 
-  // Records a phases-only entry — for pipeline stages measured outside a
-  // simulation, e.g. the hub-label warm-up sweep.
-  void Add(const std::string& label, int threads, const PhaseProfile& profile);
+  // Records a warm-up-only entry — the hub-label warm-up sweep, measured
+  // outside a simulation.
+  void AddWarmUp(const std::string& label, int threads, double warm_seconds);
 
   const std::vector<WallClockEntry>& entries() const { return entries_; }
 
-  // Writes the report (schema "foodmatch-fig-wallclock-v2"; v2 adds the
-  // per-entry "breakdown" object). Returns false on IO error.
+  // Writes the report (schema "foodmatch-fig-wallclock-v3"). Returns false
+  // on IO error.
   bool Write(const std::string& path) const;
-
-  // Writes the profiler view (schema "foodmatch-phase-profile-v1"): per
-  // entry, phases ranked by descending seconds with their share of the
-  // total — the "what remains serial" ranking CI archives next to the
-  // wall-clock file. Returns false on IO error.
-  bool WriteProfile(const std::string& path) const;
 
  private:
   std::string bench_;

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/profiler.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
 #include "model/order.h"
@@ -29,18 +28,13 @@ struct AssignmentDecision {
   std::uint64_t cost_evaluations = 0;
 
   // Per-phase wall-clock seconds of this decision (batching / FOODGRAPH
-  // construction / Kuhn–Munkres). Zero for policies that don't instrument
-  // phases. Wall-clock only — never feeds back into simulated time, so
-  // simulation results stay deterministic.
+  // construction / Kuhn–Munkres; the batching sub-phases are trace spans,
+  // core/batching.h). Zero for policies that don't instrument phases.
+  // Wall-clock only — never feeds back into simulated time, so simulation
+  // results stay deterministic.
   double batching_seconds = 0.0;
   double graph_seconds = 0.0;
   double matching_seconds = 0.0;
-
-  // Fine-grained phase breakdown of the same decision (sub-phases of
-  // batching, graph build, Kuhn–Munkres), for ranking the serial remainder.
-  // Same wall-clock-only rule as the fields above. Empty for policies that
-  // don't instrument.
-  PhaseProfile profile;
 };
 
 class AssignmentPolicy {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/trace.h"
 #include "routing/route_planner.h"
 
 namespace fm {
@@ -58,7 +59,7 @@ Batch MakeSingletonBatch(const DistanceOracle& oracle, const Order& order,
 
 BatchingResult BatchOrders(const DistanceOracle& oracle, const Config& config,
                            const std::vector<Order>& orders, Seconds now,
-                           ThreadPool* pool, PhaseProfile* profile) {
+                           ThreadPool* pool) {
   BatchingResult result;
   if (orders.empty()) return result;
 
@@ -66,7 +67,7 @@ BatchingResult BatchOrders(const DistanceOracle& oracle, const Config& config,
   // free-start plan writing slot i only, so the builds shard across lanes.
   std::vector<Batch> nodes(orders.size());
   {
-    ScopedPhaseTimer timer(profile, "batching.singletons");
+    obs::ScopedSpan span("batching.singletons", "phase");
     ParallelFor(pool, orders.size(), [&](std::size_t i) {
       nodes[i] = MakeSingletonBatch(oracle, orders[i], now);
     });
@@ -136,7 +137,7 @@ BatchingResult BatchOrders(const DistanceOracle& oracle, const Config& config,
   // runs serially; the route plans behind the surviving pairs dominate and
   // are sharded.
   {
-    ScopedPhaseTimer timer(profile, "batching.order_graph");
+    obs::ScopedSpan span("batching.order_graph", "phase");
     std::vector<std::pair<std::size_t, std::size_t>> pairs;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       for (std::size_t j = i + 1; j < nodes.size(); ++j) {
@@ -162,7 +163,7 @@ BatchingResult BatchOrders(const DistanceOracle& oracle, const Config& config,
   // pops, stamps, the stopping rule) is inherently serial; only the
   // reconnection weights inside each iteration fan out.
   {
-    ScopedPhaseTimer merge_timer(profile, "batching.merge_loop");
+    obs::ScopedSpan span("batching.merge_loop", "phase");
     while (!heap.empty()) {
       // Stopping criterion (line 6): AvgCost (Eq. 6) above the cutoff η.
       if (avg_cost() > config.batching_cutoff) break;

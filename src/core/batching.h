@@ -17,7 +17,6 @@
 
 #include <vector>
 
-#include "common/profiler.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
 #include "graph/distance_oracle.h"
@@ -76,14 +75,13 @@ Batch MakeSingletonBatch(const DistanceOracle& oracle, const Order& order,
 /// sequence and the returned BatchingResult — is bit-identical for any
 /// thread count (see common/thread_pool.h). The merge loop itself (heap pops,
 /// stamp bookkeeping, the stopping rule) is inherently serial and stays on
-/// the calling thread; the profiler exists to measure how much of the window
-/// budget it retains.
+/// the calling thread.
 ///
 /// Thread safety: BatchOrders is a blocking call; `pool` must not be running
-/// another job. `profile`, when non-null, receives the wall-clock sub-phases
-/// "batching.singletons", "batching.order_graph" (initial W(0) fill), and
-/// "batching.merge_loop" (serial clustering incl. parallel reconnection
-/// weights); it is written only from the calling thread.
+/// another job. While obs::Tracer is enabled, the call emits three "phase"
+/// spans from the calling thread: "batching.singletons",
+/// "batching.order_graph" (initial W(0) fill) and "batching.merge_loop"
+/// (serial clustering incl. parallel reconnection weights).
 ///
 /// Complexity: O(n²) edge-weight evaluations up front and O(n) per merge,
 /// each evaluation an optimal free-start plan (exhaustive within MAXO);
@@ -91,8 +89,7 @@ Batch MakeSingletonBatch(const DistanceOracle& oracle, const Order& order,
 /// scales ~1/lanes; the merge loop's bookkeeping does not.
 BatchingResult BatchOrders(const DistanceOracle& oracle, const Config& config,
                            const std::vector<Order>& orders, Seconds now,
-                           ThreadPool* pool = nullptr,
-                           PhaseProfile* profile = nullptr);
+                           ThreadPool* pool = nullptr);
 
 }  // namespace fm
 

@@ -3,7 +3,7 @@
 // Built from scratch, `graph.build` is ~91–93% of FoodMatch decision time
 // (BENCH_incremental.json's scratch rows) because every window re-runs
 // Alg. 2's best-first search and every insertion-cost SP query. Through
-// the cache it is still ~75–80% (BENCH_profile.json, one lane). The
+// the cache it is still ~75–80% (BENCH_fig_wallclock.json, one lane). The
 // EdgeCache makes the build incremental along two axes:
 //
 //   1. Search footprints — the best-first discovery order of Alg. 2 for one

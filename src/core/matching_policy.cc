@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "core/batching.h"
 #include "matching/hungarian.h"
+#include "obs/trace.h"
 
 namespace fm {
 
@@ -53,11 +54,11 @@ AssignmentDecision MatchingPolicy::Assign(
   const auto t0 = Clock::now();
   std::vector<Batch> batches;
   if (options_.batching) {
-    BatchingResult batching = BatchOrders(*oracle_, config_, unassigned, now,
-                                          pool_.get(), &decision.profile);
+    BatchingResult batching =
+        BatchOrders(*oracle_, config_, unassigned, now, pool_.get());
     batches = std::move(batching.batches);
   } else {
-    ScopedPhaseTimer timer(&decision.profile, "batching.singletons");
+    obs::ScopedSpan span("batching.singletons", "phase");
     batches.resize(unassigned.size());
     ParallelFor(pool_.get(), unassigned.size(), [&](std::size_t i) {
       batches[i] = MakeSingletonBatch(*oracle_, unassigned[i], now);
@@ -77,14 +78,12 @@ AssignmentDecision MatchingPolicy::Assign(
   decision.cost_evaluations = graph.mcost_evaluations;
   const auto t2 = Clock::now();
   decision.graph_seconds = elapsed(t1, t2);
-  decision.profile.Record("graph.build", decision.graph_seconds);
 
   // Step 3: minimum weight perfect matching (Kuhn–Munkres) — the largest
-  // inherently serial phase; the profiler tracks its share as the parallel
-  // phases shrink with --threads.
+  // inherently serial phase; matching_seconds tracks its share as the
+  // parallel phases shrink with --threads.
   const Assignment matching = SolveAssignment(graph.cost);
   decision.matching_seconds = elapsed(t2, Clock::now());
-  decision.profile.Record("matching.km", decision.matching_seconds);
 
   // Step 4: emit assignments; matched pairs at the Ω weight are
   // no-assignments (the batch stays in the pool).

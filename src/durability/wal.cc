@@ -232,7 +232,7 @@ void WalWriter::Append(const WalRecord& record) {
 
 void WalWriter::Sync() {
   // The fsync latency histogram is wall-clock-only observability; a null
-  // sink means no clock reads (the PhaseProfile rule).
+  // sink means no clock reads.
   const bool timed = fsync_histogram_ != nullptr;
   std::chrono::steady_clock::time_point start;
   if (timed) start = std::chrono::steady_clock::now();

@@ -27,7 +27,6 @@
 #include "common/check.h"      // IWYU pragma: export
 #include "common/checksum.h"   // IWYU pragma: export
 #include "common/mpsc_queue.h"   // IWYU pragma: export
-#include "common/profiler.h"   // IWYU pragma: export
 #include "common/rng.h"        // IWYU pragma: export
 #include "common/stats.h"      // IWYU pragma: export
 #include "common/thread_pool.h"  // IWYU pragma: export

@@ -7,10 +7,10 @@
 // obs/instruments.h, while the registry and exposition code
 // (obs/metrics_registry.h) sits above them and never below.
 //
-// Decision-neutrality contract (the PhaseProfile rule, extended): an
-// instrument only ever *counts* or records wall-clock durations. Nothing in
-// this layer is read back by dispatch code, so enabling observability can
-// never perturb simulated time or any assignment decision —
+// Decision-neutrality contract: an instrument only ever *counts* or records
+// wall-clock durations. Nothing in this layer is read back by dispatch code,
+// so enabling observability can never perturb simulated time or any
+// assignment decision —
 // bench_observability hard-gates replay fingerprints with the full obs
 // stack on vs. off.
 //

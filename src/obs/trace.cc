@@ -4,21 +4,11 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/profiler.h"
 #include "common/strings.h"
 
 namespace fm::obs {
 
 namespace {
-
-// The PhaseSpanHook bridge: while tracing is enabled, every
-// fm::ScopedPhaseTimer forwards its interval here (common/profiler.h), so
-// PhaseProfile phases and trace spans are one vocabulary.
-void PhaseSpanBridge(const char* phase,
-                     std::chrono::steady_clock::time_point start,
-                     std::chrono::steady_clock::time_point end) {
-  Tracer::Global().EmitComplete(phase, "phase", start, end);
-}
 
 std::string EscapeJson(const std::string& s) {
   std::string out;
@@ -62,11 +52,9 @@ void Tracer::Enable(std::size_t events_per_thread) {
   epoch_ = std::chrono::steady_clock::now();
   generation_.fetch_add(1, std::memory_order_release);
   enabled_.store(true, std::memory_order_release);
-  SetPhaseSpanHook(&PhaseSpanBridge);
 }
 
 void Tracer::Disable() {
-  SetPhaseSpanHook(nullptr);
   enabled_.store(false, std::memory_order_release);
 }
 

@@ -10,14 +10,11 @@
 // are overwritten and counted as dropped, so tracing a long run costs
 // bounded memory and keeps the most recent history.
 //
-// Spans come from three sources:
-//   * obs::ScopedSpan — explicit RAII spans in instrumented code; a span
-//     given a registry histogram (the sharded router's serving.* regions)
-//     also records its duration there, traced or not;
-//   * every fm::ScopedPhaseTimer — while the tracer is enabled it installs
-//     the PhaseSpanHook (common/profiler.h), so each PhaseProfile phase
-//     (including ones whose profile pointer is null) is also a span; the
-//     profiler layer itself never depends on obs/;
+// Spans come from two sources:
+//   * obs::ScopedSpan — explicit RAII spans in instrumented code (the
+//     batching sub-phases, window closes, shard fan-outs); a span given a
+//     registry histogram (the sharded router's serving.* regions) also
+//     records its duration there, traced or not;
 //   * async order-lifecycle markers ('b' placed → 'n' drained into the
 //     core → 'e' decision) with the order id as the correlation id,
 //     emitted by the window executor (core/window_executor.cc).
@@ -72,13 +69,13 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Starts recording: clears previous events, sets the time origin, and
-  /// installs the PhaseSpanHook so phase timers emit spans. Capacity is
-  /// per thread ring; the oldest events are overwritten past it.
+  /// Starts recording: clears previous events and sets the time origin.
+  /// Capacity is per thread ring; the oldest events are overwritten past
+  /// it.
   void Enable(std::size_t events_per_thread = 1 << 15);
 
-  /// Stops recording and uninstalls the hook. Recorded events stay
-  /// available for WriteJson/SortedEvents until the next Enable().
+  /// Stops recording. Recorded events stay available for
+  /// WriteJson/SortedEvents until the next Enable().
   void Disable();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }

@@ -333,7 +333,6 @@ FleetWindowResult ShardedDispatchEngine::RunWindow(const WindowClosed& event) {
       merged.decision.batching_seconds += r.decision.batching_seconds;
       merged.decision.graph_seconds += r.decision.graph_seconds;
       merged.decision.matching_seconds += r.decision.matching_seconds;
-      merged.decision.profile.Merge(r.decision.profile);
       // Shards run concurrently: the fleet's decision time is the slowest
       // shard (the makespan that must fit inside ∆), not the sum.
       merged.decision_seconds =

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/profiler.h"
 #include "common/time.h"
 #include "common/types.h"
 
@@ -53,19 +52,15 @@ struct Metrics {
 
   // Per-phase wall-clock totals of the batch-assignment pipeline: the three
   // decision phases reported by the policy (zero for non-instrumenting
-  // policies) plus the route-rebuild phase timed by the simulator. Only
-  // accumulated when SimulationInput::measure_wall_clock is set, so
-  // deterministic runs carry exact zeros.
+  // policies) plus the route-rebuild phase timed by the simulator. The four
+  // do not overlap, so their sum is the pipeline's profiled total (what
+  // `--profile` ranks). Only accumulated when
+  // SimulationInput::measure_wall_clock is set, so deterministic runs carry
+  // exact zeros.
   double phase_batching_seconds = 0.0;
   double phase_graph_seconds = 0.0;
   double phase_matching_seconds = 0.0;
   double phase_rebuild_seconds = 0.0;
-
-  // Fine-grained phase breakdown (batching sub-phases, graph build,
-  // Kuhn–Munkres, rebuilds) aggregated over all windows — the profiler view
-  // that ranks what remains serial. Same measure_wall_clock gating as the
-  // coarse fields above; empty for non-instrumenting policies.
-  PhaseProfile phases;
 
   std::array<SlotMetrics, kSlotsPerDay> per_slot = {};
 

@@ -312,7 +312,6 @@ SimulationResult Simulator::Run() {
       metrics_.phase_batching_seconds += result.decision.batching_seconds;
       metrics_.phase_graph_seconds += result.decision.graph_seconds;
       metrics_.phase_matching_seconds += result.decision.matching_seconds;
-      metrics_.phases.Merge(result.decision.profile);
     }
 
     // 5. Mirror the engine's transitions onto our vehicle states.
@@ -336,10 +335,8 @@ SimulationResult Simulator::Run() {
       RebuildPlan(vehicles_[dirty[d]], anchors[d].first, anchors[d].second);
     });
     if (input_.measure_wall_clock) {
-      const double rebuild_seconds = std::chrono::duration<double>(
+      metrics_.phase_rebuild_seconds += std::chrono::duration<double>(
           std::chrono::steady_clock::now() - rebuild_t0).count();
-      metrics_.phase_rebuild_seconds += rebuild_seconds;
-      metrics_.phases.Record("rebuild.plans", rebuild_seconds);
     }
 
     // Quiescent point: the window is fully mirrored and no event is in

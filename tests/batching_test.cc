@@ -1,8 +1,11 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/batching.h"
 #include "graph/distance_oracle.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 
 namespace fm {
@@ -212,11 +215,15 @@ TEST_F(BatchingTest, BitIdenticalAcrossThreadCounts) {
   const BatchingResult serial = BatchOrders(oracle_, config, orders, 0.0);
   EXPECT_GT(serial.merges, 0);  // the interesting path must be exercised
 
+  // The parallel runs are traced, so the gate also shows that tracing
+  // leaves the result alone.
+  obs::Tracer& tracer = obs::Tracer::Global();
   for (int threads : {2, 3, 8}) {
     ThreadPool pool(threads);
-    PhaseProfile profile;
+    tracer.Enable();
     const BatchingResult parallel =
-        BatchOrders(oracle_, config, orders, 0.0, &pool, &profile);
+        BatchOrders(oracle_, config, orders, 0.0, &pool);
+    tracer.Disable();
 
     EXPECT_EQ(parallel.merges, serial.merges) << threads << " threads";
     EXPECT_EQ(parallel.final_avg_cost, serial.final_avg_cost);
@@ -237,10 +244,17 @@ TEST_F(BatchingTest, BitIdenticalAcrossThreadCounts) {
         EXPECT_EQ(p.plan.stops[st].type, s.plan.stops[st].type);
       }
     }
-    // The profiler saw all three sub-phases of the instrumented run.
-    EXPECT_EQ(profile.phases().count("batching.singletons"), 1u);
-    EXPECT_EQ(profile.phases().count("batching.order_graph"), 1u);
-    EXPECT_EQ(profile.phases().count("batching.merge_loop"), 1u);
+    // The traced call emitted each sub-phase once, as a "phase" span.
+    const std::vector<obs::TraceEvent> events = tracer.SortedEvents();
+    EXPECT_EQ(events.size(), 3u);
+    for (const char* name : {"batching.singletons", "batching.order_graph",
+                             "batching.merge_loop"}) {
+      const auto span = std::find_if(
+          events.begin(), events.end(),
+          [name](const obs::TraceEvent& e) { return e.name == name; });
+      ASSERT_NE(span, events.end()) << name;
+      EXPECT_STREQ(span->category, "phase");
+    }
   }
 }
 

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/profiler.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/strings.h"
@@ -205,72 +204,6 @@ TEST(TimeTest, FormatDuration) {
   EXPECT_EQ(FormatDuration(30.0), "30.0s");
   EXPECT_EQ(FormatDuration(600.0), "10.0min");
   EXPECT_EQ(FormatDuration(7200.0), "2.00h");
-}
-
-// ---------- PhaseProfile ----------
-
-TEST(PhaseProfileTest, RecordAccumulatesSecondsAndCalls) {
-  PhaseProfile p;
-  EXPECT_TRUE(p.empty());
-  p.Record("matching.km", 1.5);
-  p.Record("matching.km", 0.5);
-  p.Record("graph.build", 3.0);
-  EXPECT_FALSE(p.empty());
-  EXPECT_DOUBLE_EQ(p.TotalSeconds(), 5.0);
-  ASSERT_EQ(p.phases().count("matching.km"), 1u);
-  EXPECT_DOUBLE_EQ(p.phases().at("matching.km").seconds, 2.0);
-  EXPECT_EQ(p.phases().at("matching.km").calls, 2u);
-  EXPECT_EQ(p.phases().at("graph.build").calls, 1u);
-}
-
-TEST(PhaseProfileTest, MergeAddsPhasewise) {
-  PhaseProfile a;
-  a.Record("x", 1.0);
-  a.Record("y", 2.0);
-  PhaseProfile b;
-  b.Record("y", 3.0);
-  b.Record("z", 4.0);
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.phases().at("x").seconds, 1.0);
-  EXPECT_DOUBLE_EQ(a.phases().at("y").seconds, 5.0);
-  EXPECT_EQ(a.phases().at("y").calls, 2u);
-  EXPECT_DOUBLE_EQ(a.phases().at("z").seconds, 4.0);
-}
-
-TEST(PhaseProfileTest, RankedSortsByDescendingSeconds) {
-  PhaseProfile p;
-  p.Record("small", 1.0);
-  p.Record("big", 9.0);
-  p.Record("mid", 4.0);
-  const auto ranked = p.Ranked();
-  ASSERT_EQ(ranked.size(), 3u);
-  EXPECT_EQ(ranked[0].first, "big");
-  EXPECT_EQ(ranked[1].first, "mid");
-  EXPECT_EQ(ranked[2].first, "small");
-}
-
-TEST(PhaseProfileTest, ScopedTimerRecordsIntoPhase) {
-  PhaseProfile p;
-  {
-    ScopedPhaseTimer timer(&p, "scoped");
-  }
-  ASSERT_EQ(p.phases().count("scoped"), 1u);
-  EXPECT_EQ(p.phases().at("scoped").calls, 1u);
-  EXPECT_GE(p.phases().at("scoped").seconds, 0.0);
-  // A null profile is a no-op, not a crash.
-  ScopedPhaseTimer noop(nullptr, "ignored");
-}
-
-TEST(PhaseProfileTest, JsonIsSortedAndWellFormed) {
-  PhaseProfile p;
-  EXPECT_EQ(p.ToJson(), "{}");
-  p.Record("b.phase", 0.25);
-  p.Record("a.phase", 0.5);
-  const std::string json = p.ToJson(2);
-  // Keys emitted in sorted order regardless of insertion order.
-  EXPECT_LT(json.find("a.phase"), json.find("b.phase"));
-  EXPECT_NE(json.find("\"seconds\": 0.500000"), std::string::npos);
-  EXPECT_NE(json.find("\"calls\": 1"), std::string::npos);
 }
 
 }  // namespace

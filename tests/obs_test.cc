@@ -1,7 +1,7 @@
 // Unit tests for the observability layer: instrument exactness under
 // contention, histogram boundary semantics, deterministic exposition,
-// callback lifetime (FreezeCallbacks), trace-JSON well-formedness, and the
-// phase-timer → span unification hook.
+// callback lifetime (FreezeCallbacks), trace-JSON well-formedness, and
+// span/histogram recording.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/profiler.h"
 #include "obs/instruments.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -252,28 +251,6 @@ TEST(TracerTest, SpanHistogramObservesWithAndWithoutTracing) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "unit.traced");
   EXPECT_STREQ(events[0].category, "phase");
-}
-
-TEST(TracerTest, PhaseTimersEmitSpansWhileEnabled) {
-  Tracer& tracer = Tracer::Global();
-  tracer.Enable();
-  PhaseProfile profile;
-  { ScopedPhaseTimer timer(&profile, "unit.phase"); }
-  // Null-profile timers are also spans — the hook is the only consumer.
-  { ScopedPhaseTimer timer(nullptr, "unit.null_phase"); }
-  tracer.Disable();
-  const std::vector<TraceEvent> events = tracer.SortedEvents();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].name, "unit.phase");
-  EXPECT_EQ(events[0].phase, 'X');
-  EXPECT_STREQ(events[0].category, "phase");
-  EXPECT_EQ(events[1].name, "unit.null_phase");
-  // The profile still accumulated wall clock — the span rides along, it
-  // does not replace the timer.
-  EXPECT_EQ(profile.phases().count("unit.phase"), 1u);
-  // Once disabled, the hook is uninstalled and timers stop emitting.
-  { ScopedPhaseTimer timer(&profile, "unit.after"); }
-  EXPECT_EQ(tracer.SortedEvents().size(), 2u);
 }
 
 }  // namespace

@@ -114,9 +114,9 @@ int Main(int argc, char** argv) {
   }
 
   // --profile: oracle.warm plus every window's decision phases.
-  PhaseProfile phases;
+  double warm_seconds = 0.0;
   const std::unique_ptr<DistanceOracle> oracle =
-      WarmOracle(spec, workload.network, &phases);
+      WarmOracle(spec, workload.network, &warm_seconds);
 
   const std::vector<Vehicle> fleet =
       scenario_name.empty() ? SubsampleFleet(workload.fleet, spec.fleet)
@@ -249,8 +249,19 @@ int Main(int argc, char** argv) {
   }
 
   if (spec.profile) {
-    for (const WindowResult& r : results) phases.Merge(r.decision.profile);
-    PrintProfile(phases, registry, config.threads);
+    double batching = 0.0;
+    double graph = 0.0;
+    double matching = 0.0;
+    for (const WindowResult& r : results) {
+      batching += r.decision.batching_seconds;
+      graph += r.decision.graph_seconds;
+      matching += r.decision.matching_seconds;
+    }
+    PrintProfile({{"oracle.warm", warm_seconds},
+                  {"batching", batching},
+                  {"graph.build", graph},
+                  {"matching.km", matching}},
+                 registry, config.threads);
   }
 
   const std::string out = flags.GetString("out");

@@ -116,15 +116,20 @@ int Main(int argc, char** argv) {
   // bit-identical SimulationResult; with --stream it also crosses the
   // streaming == batch line.
   const bool verify_no_incremental = flags.HasFlag("verify-no-incremental");
+  // Both verify modes turn wall-clock measurement off (below), so a
+  // --profile table would silently miss every decision phase.
+  RejectFlagWith(spec, "profile", "verify-no-incremental");
+  RejectFlagWith(spec, "profile", "verify-restore");
 
   const Workload workload = GenerateWorkload(spec.city, spec.horizon);
-  // --profile: the warm-up and decision phases here, the router and intake
-  // timings on the registry (declared before the core, which it outlives).
-  PhaseProfile phases;
+  // --profile: the warm-up here, the decision phases on the metrics, the
+  // router and intake timings on the registry (declared before the core,
+  // which it outlives).
+  double warm_seconds = 0.0;
   obs::MetricsRegistry registry;
   obs::MetricsRegistry* metrics = spec.profile ? &registry : nullptr;
   const std::unique_ptr<DistanceOracle> oracle =
-      WarmOracle(spec, workload.network, &phases);
+      WarmOracle(spec, workload.network, &warm_seconds);
 
   SimulationInput input;
   input.network = &workload.network;
@@ -209,10 +214,13 @@ int Main(int argc, char** argv) {
   }
 
   if (spec.profile) {
-    // Ranked by total seconds — the serial remainder rises to the top as
-    // --threads grows.
-    phases.Merge(result.metrics.phases);
-    PrintProfile(phases, registry, config.threads);
+    const Metrics& m = result.metrics;
+    PrintProfile({{"oracle.warm", warm_seconds},
+                  {"batching", m.phase_batching_seconds},
+                  {"graph.build", m.phase_graph_seconds},
+                  {"matching.km", m.phase_matching_seconds},
+                  {"rebuild.plans", m.phase_rebuild_seconds}},
+                 registry, config.threads);
   }
 
   if (flags.HasFlag("per-slot")) {

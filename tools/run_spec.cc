@@ -56,10 +56,12 @@ std::vector<FlagDoc> SharedFlags() {
       {"snapshot-every", "N",
        "snapshot cadence in closed windows\n(default 8; requires --wal-dir)"},
       {"trace-out", "PATH",
-       "record spans (every profiled phase, window\ncloses, shard fan-outs, "
+       "record spans (batching sub-phases, window\ncloses, shard fan-outs, "
        "order lifecycles)\nand write Chrome trace-event JSON — open in\n"
        "Perfetto (ui.perfetto.dev) or chrome://tracing"},
-      {"profile", "", "print the per-phase wall-clock profile"},
+      {"profile", "",
+       "print the decision phases' wall clock and\nthe registry's timing "
+       "histograms"},
   };
 }
 
@@ -183,7 +185,7 @@ RunSpec ParseRunSpec(int argc, char** argv, const std::string& title,
 
 std::unique_ptr<DistanceOracle> WarmOracle(const RunSpec& spec,
                                            const RoadNetwork& network,
-                                           PhaseProfile* profile) {
+                                           double* warm_seconds) {
   auto oracle =
       std::make_unique<DistanceOracle>(&network, OracleBackend::kHubLabels);
   const int first = HourSlot(spec.horizon.start_time);
@@ -193,10 +195,9 @@ std::unique_ptr<DistanceOracle> WarmOracle(const RunSpec& spec,
   // A 1-lane pool spawns no workers and runs inline, so no serial branch.
   ThreadPool pool(ThreadPool::ResolveThreadCount(spec.config.threads));
   oracle->WarmSlots(first, last, &pool);
-  profile->Record("oracle.warm",
-                  std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count());
+  *warm_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   return oracle;
 }
 
@@ -254,10 +255,25 @@ bool VerifyFingerprint(const char* run, const char* reference,
   return true;
 }
 
-void PrintProfile(const PhaseProfile& phases,
+void PrintProfile(std::vector<ProfileRow> rows,
                   const obs::MetricsRegistry& registry, int threads) {
-  std::printf("\nper-phase wall-clock profile (threads=%d):\n%s", threads,
-              phases.FormatTable().c_str());
+  // Ranked by seconds — the serial remainder rises to the top as --threads
+  // grows.
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const ProfileRow& a, const ProfileRow& b) {
+                     return a.seconds > b.seconds;
+                   });
+  double total = 0.0;
+  for (const ProfileRow& row : rows) total += row.seconds;
+  std::printf("\nper-phase wall-clock profile (threads=%d):\n%-13s  %10s  "
+              "%6s\n",
+              threads, "phase", "seconds", "share");
+  for (const ProfileRow& row : rows) {
+    std::printf("%-13s  %10.3f  %5.1f%%\n", row.phase, row.seconds,
+                total > 0.0 ? 100.0 * row.seconds / total : 0.0);
+  }
+  std::printf("%-13s  %10.3f\n", "total", total);
+
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
   std::vector<const obs::InstrumentValue*> timings;
   std::size_t width = 9;  // "histogram"

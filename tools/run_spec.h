@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/profiler.h"
 #include "common/types.h"
 #include "core/policy_registry.h"
 #include "gen/profiles.h"
@@ -81,11 +80,11 @@ void RejectFlagWith(const RunSpec& spec, const std::string& flag,
 
 // Builds a hub-label oracle over `network` and warms every slot the horizon
 // queries (plus 2 h of drain) across --threads lanes — the warmed indices
-// are identical for any lane count — recording the wall clock as
-// "oracle.warm" in `profile`.
+// are identical for any lane count — storing the warm-up's wall clock in
+// `warm_seconds`.
 std::unique_ptr<DistanceOracle> WarmOracle(const RunSpec& spec,
                                            const RoadNetwork& network,
-                                           PhaseProfile* profile);
+                                           double* warm_seconds);
 
 struct CoreOptions {
   // Forwarded to DispatchEngineOptions; match the driver's own setting.
@@ -122,11 +121,19 @@ std::function<void(Seconds now, std::uint64_t window)> MidpointRestoreHook(
 bool VerifyFingerprint(const char* run, const char* reference,
                        std::uint64_t got, std::uint64_t want);
 
-// Prints --profile: `phases` (the decision phases, rebuild.plans and
-// oracle.warm, which do not overlap) ranked with their total, then every
-// *_seconds histogram on `registry` (sum, count) in a separate block left
-// out of the total — those regions contain or overlap the phases.
-void PrintProfile(const PhaseProfile& phases,
+// One row of the --profile phase table: a phase name and its total wall
+// clock over the run.
+struct ProfileRow {
+  const char* phase;
+  double seconds;
+};
+
+// Prints --profile: `rows` (oracle.warm, the decision phases and, for a
+// simulated run, rebuild.plans — none overlap) ranked by seconds with their
+// share of the total, then every *_seconds histogram on `registry` (sum,
+// count) in a separate block left out of the total — those regions contain
+// or overlap the phases.
+void PrintProfile(std::vector<ProfileRow> rows,
                   const obs::MetricsRegistry& registry, int threads);
 
 // Stops the global tracer and writes its events as Chrome trace-event
