@@ -16,8 +16,9 @@
 // the end-to-end performance anchor that CI uploads per commit. Results are
 // bit-identical across thread counts (asserted here on the XDT totals), so
 // the sweep measures speed only. Part 4 sweeps the hub-label warm-up the
-// same way and asserts a pool-warmed oracle serves durations identical to a
-// serially warmed one.
+// same way and asserts a pool-warmed oracle holds an index of the same size
+// (label entries and bytes, both gated exactly by the anchor check) and
+// serves durations identical to a serially warmed one.
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -193,7 +194,8 @@ int Main(int argc, char** argv) {
   std::printf(
       "\nHub-label warm-up (City B network, slots 11-16): per-slot builds\n"
       "are independent and shard across lanes; a pool-warmed oracle must\n"
-      "serve durations identical to a serially warmed one (asserted).\n\n");
+      "hold an index of the same size and serve durations identical to a\n"
+      "serially warmed one (asserted).\n\n");
   const RoadNetwork& warm_net = entry.workload.network;
   const int first_slot = 11;
   const int last_slot = 16;
@@ -203,9 +205,14 @@ int Main(int argc, char** argv) {
   const double serial_warm_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - w0)
           .count();
-  TablePrinter warm({"threads", "warm-up(s)", "speedup"});
-  warm.AddRow({"1", Fmt(serial_warm_s, 3), "1.00x"});
-  report.AddWarmUp("CityB/WarmSlots", 1, serial_warm_s);
+  const std::size_t serial_entries = serial_oracle.LabelEntries();
+  const std::size_t serial_bytes = serial_oracle.IndexBytes();
+  TablePrinter warm({"threads", "warm-up(s)", "speedup", "label entries",
+                     "index(MB)"});
+  const std::string index_mb = Fmt(serial_bytes / 1e6, 2);
+  warm.AddRow({"1", Fmt(serial_warm_s, 3), "1.00x",
+               Fmt(serial_entries, 0), index_mb});
+  report.AddWarmUp("CityB/WarmSlots", 1, serial_warm_s, serial_oracle);
   Rng sample_rng(20260730);
   for (int threads : {2, 4}) {
     DistanceOracle warmed(&warm_net, OracleBackend::kHubLabels);
@@ -215,6 +222,15 @@ int Main(int argc, char** argv) {
     const double warm_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    if (warmed.LabelEntries() != serial_entries ||
+        warmed.IndexBytes() != serial_bytes) {
+      std::fprintf(stderr,
+                   "DETERMINISM VIOLATION: %d-thread warm-up holds %zu "
+                   "entries / %zu bytes, serial %zu / %zu\n",
+                   threads, warmed.LabelEntries(), warmed.IndexBytes(),
+                   serial_entries, serial_bytes);
+      return 1;
+    }
     for (int trial = 0; trial < 200; ++trial) {
       const NodeId u =
           static_cast<NodeId>(sample_rng.UniformInt(warm_net.num_nodes()));
@@ -231,8 +247,9 @@ int Main(int argc, char** argv) {
       }
     }
     warm.AddRow({Fmt(threads, 0), Fmt(warm_s, 3),
-                 Fmt(warm_s > 0.0 ? serial_warm_s / warm_s : 1.0, 2) + "x"});
-    report.AddWarmUp("CityB/WarmSlots", threads, warm_s);
+                 Fmt(warm_s > 0.0 ? serial_warm_s / warm_s : 1.0, 2) + "x",
+                 Fmt(serial_entries, 0), index_mb});
+    report.AddWarmUp("CityB/WarmSlots", threads, warm_s, warmed);
   }
   warm.Print();
 

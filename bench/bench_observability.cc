@@ -10,8 +10,10 @@
 // decisions. Any divergence aborts, so CI treats an observability
 // side-effect as a build break.
 //
-// Gate 2 (overhead): the same scenario at sweep scale, min-of-3 wall
-// clocks, observability on vs off. The on run may cost at most 3% over
+// Gate 2 (overhead): the same scenario at sweep scale, min-of-5 wall
+// clocks, observability on vs off, the side that runs first alternating
+// from rep to rep so neither side always meets a colder or a warmer
+// machine. The on run may cost at most 3% over
 // the off run (plus a 10 ms floor so a near-zero baseline cannot fail the
 // ratio on scheduler noise) — instrumentation this repo ships by default
 // must stay effectively free.
@@ -198,18 +200,25 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // ---- Gate 2: overhead, min-of-3, obs on vs off ----
+  // ---- Gate 2: overhead, min-of-5, obs on vs off, alternating order ----
+  constexpr int kOverheadReps = 5;
   std::printf("\nGate 2 (overhead, %s, City A / %.0f, shards=4, "
-              "threads=4, min of 3):\n",
-              kScenario, kOverheadScale);
+              "threads=4, min of %d, first side alternating):\n",
+              kScenario, kOverheadScale, kOverheadReps);
   const Instance sweep_inst = MakeInstance(kOverheadScale);
   double off_min = 0.0;
   double on_min = 0.0;
   std::uint64_t off_fp = 0;
   std::uint64_t on_fp = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const RunOutcome off = RunOnce(sweep_inst, 4, 4, /*observe=*/false);
-    const RunOutcome on = RunOnce(sweep_inst, 4, 4, /*observe=*/true);
+  for (int rep = 0; rep < kOverheadReps; ++rep) {
+    const bool off_first = rep % 2 == 0;
+    RunOutcome off;
+    RunOutcome on;
+    if (off_first) off = RunOnce(sweep_inst, 4, 4, /*observe=*/false);
+    on = RunOnce(sweep_inst, 4, 4, /*observe=*/true);
+    if (!off_first) off = RunOnce(sweep_inst, 4, 4, /*observe=*/false);
+    std::printf("  rep %d (%s first): off %.3fs  on %.3fs\n", rep + 1,
+                off_first ? "off" : "on", off.wall_seconds, on.wall_seconds);
     off_min = rep == 0 ? off.wall_seconds
                        : std::min(off_min, off.wall_seconds);
     on_min = rep == 0 ? on.wall_seconds : std::min(on_min, on.wall_seconds);
@@ -221,8 +230,8 @@ int Main(int argc, char** argv) {
                "not decision-neutral");
   const double overhead_pct =
       off_min > 0.0 ? (on_min - off_min) / off_min * 100.0 : 0.0;
-  std::printf("  off %.3fs  on %.3fs  overhead %+.2f%%\n", off_min, on_min,
-              overhead_pct);
+  std::printf("  min: off %.3fs  on %.3fs  overhead %+.2f%%\n", off_min,
+              on_min, overhead_pct);
   FM_CHECK_MSG(on_min <= off_min * 1.03 + 0.010,
                "bench_observability: GATE FAILED — observability costs " +
                    std::to_string(overhead_pct) + "% (> 3% budget)");

@@ -221,26 +221,35 @@ void WallClockReport::Add(const std::string& label, int threads,
 }
 
 void WallClockReport::AddWarmUp(const std::string& label, int threads,
-                                double warm_seconds) {
+                                double warm_seconds,
+                                const DistanceOracle& oracle) {
   WallClockEntry e;
   e.label = label;
   e.threads = threads;
   e.warm_seconds = warm_seconds;
+  e.label_entries = oracle.LabelEntries();
+  e.index_bytes = oracle.IndexBytes();
   entries_.push_back(std::move(e));
 }
 
 bool WallClockReport::Write(const std::string& path) const {
-  BenchJsonDoc doc("foodmatch-fig-wallclock-v3", bench_);
+  BenchJsonDoc doc("foodmatch-fig-wallclock-v4", bench_);
   for (const WallClockEntry& e : entries_) {
+    // Only warm-up rows hold an index.
+    const std::string index =
+        e.index_bytes == 0
+            ? ""
+            : StrFormat(",\n     \"label_entries\": %zu, \"index_bytes\": %zu",
+                        e.label_entries, e.index_bytes);
     doc.AddEntry(StrFormat(
         "{\"label\": \"%s\", \"threads\": %d, \"windows\": %llu,\n"
         "     \"phases\": {\"batching_s\": %.6f, \"graph_s\": %.6f, "
         "\"matching_s\": %.6f, \"rebuild_s\": %.6f, \"warm_s\": %.6f},\n"
-        "     \"decision_total_s\": %.6f}",
+        "     \"decision_total_s\": %.6f%s}",
         e.label.c_str(), e.threads,
         static_cast<unsigned long long>(e.windows), e.batching_seconds,
         e.graph_seconds, e.matching_seconds, e.rebuild_seconds,
-        e.warm_seconds, e.decision_seconds));
+        e.warm_seconds, e.decision_seconds, index.c_str()));
   }
   return doc.Write(path);
 }

@@ -133,6 +133,10 @@ struct WallClockEntry {
   double rebuild_seconds = 0.0;
   double warm_seconds = 0.0;      // hub-label warm-up (warm-up rows only)
   double decision_seconds = 0.0;  // total policy decision wall clock
+  // The warmed oracle's index size (warm-up rows only; see
+  // DistanceOracle::LabelEntries and IndexBytes).
+  std::size_t label_entries = 0;
+  std::size_t index_bytes = 0;
 };
 
 // Collects entries and serializes them as BENCH_fig_wallclock.json.
@@ -145,12 +149,13 @@ class WallClockReport {
   void Add(const std::string& label, int threads, const Metrics& metrics);
 
   // Records a warm-up-only entry — the hub-label warm-up sweep, measured
-  // outside a simulation.
-  void AddWarmUp(const std::string& label, int threads, double warm_seconds);
+  // outside a simulation — with the size of the index `oracle` holds.
+  void AddWarmUp(const std::string& label, int threads, double warm_seconds,
+                 const DistanceOracle& oracle);
 
   const std::vector<WallClockEntry>& entries() const { return entries_; }
 
-  // Writes the report (schema "foodmatch-fig-wallclock-v3"). Returns false
+  // Writes the report (schema "foodmatch-fig-wallclock-v4"). Returns false
   // on IO error.
   bool Write(const std::string& path) const;
 

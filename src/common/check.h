@@ -12,7 +12,8 @@
 
 namespace fm::internal {
 
-// Aborts the process after printing `file:line: message` to stderr.
+// Aborts the process after flushing stdout and printing `file:line: message`
+// to stderr.
 [[noreturn]] void CheckFailed(const char* file, int line, const std::string& message);
 
 }  // namespace fm::internal

@@ -66,6 +66,24 @@ void DistanceOracle::WarmSlots(int first_slot, int last_slot,
   });
 }
 
+std::size_t DistanceOracle::LabelEntries() const {
+  std::size_t total = 0;
+  for (const auto& slot : labels_) {
+    const HubLabels* built = slot.load(std::memory_order_acquire);
+    if (built != nullptr) total += built->TotalLabelEntries();
+  }
+  return total;
+}
+
+std::size_t DistanceOracle::IndexBytes() const {
+  std::size_t total = 0;
+  for (const auto& slot : labels_) {
+    const HubLabels* built = slot.load(std::memory_order_acquire);
+    if (built != nullptr) total += built->MemoryBytes();
+  }
+  return total;
+}
+
 Seconds DistanceOracle::Duration(NodeId u, NodeId v,
                                  Seconds time_of_day) const {
   query_count_.fetch_add(1, std::memory_order_relaxed);

@@ -53,6 +53,9 @@ enum class OracleBackend {
 /// Complexity per query: O(label size) merge-join for hub labels
 /// (sub-microsecond in practice), O((m + n) log n) for uncached Dijkstra,
 /// O(1) for haversine.
+///
+/// Memory: each built hub-label slot holds 10 B per label entry plus 8 B
+/// per node of offsets (see IndexBytes).
 class DistanceOracle {
  public:
   /// `net` must outlive the oracle. `haversine_speed_mps` is only used by
@@ -87,6 +90,12 @@ class DistanceOracle {
   /// the reason warm-up wall-clock scales ~1/lanes; warm slots cost one
   /// acquire load each.
   void WarmSlots(int first_slot, int last_slot, ThreadPool* pool = nullptr);
+
+  /// Hub-label entries (HubLabels::TotalLabelEntries) and index bytes
+  /// (HubLabels::MemoryBytes), each summed over the slots built so far.
+  /// Zero for the other backends.
+  std::size_t LabelEntries() const;
+  std::size_t IndexBytes() const;
 
   OracleBackend backend() const { return backend_; }
   const RoadNetwork& network() const { return *net_; }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -16,12 +17,31 @@ namespace {
 
 using QueueEntry = std::pair<Seconds, NodeId>;
 
-// One node's label while it is built: hub ranks in ascending (construction)
-// order, distances alongside. Split so the prune scan streams 4-byte ranks.
+// One node's label while it is built, already in the index's format: rank
+// deltas in ascending (construction) order, distances alongside, and the
+// last rank for appending. Split so the prune scan streams 2-byte deltas.
 struct BuildLabel {
-  std::vector<std::uint32_t> ranks;
+  std::vector<std::uint16_t> deltas;
   std::vector<Seconds> dists;
+  std::uint32_t last_rank = 0;
 };
+
+constexpr std::uint32_t kMaxDelta = std::numeric_limits<std::uint16_t>::max();
+
+// Appends hub `rank` at distance `d`, first bridging a gap above kMaxDelta
+// with fillers (delta kMaxDelta, distance +inf); returns how many it added.
+std::size_t Append(BuildLabel& label, std::uint32_t rank, Seconds d) {
+  std::size_t fillers = 0;
+  std::uint32_t gap = rank - label.last_rank;
+  for (; gap > kMaxDelta; gap -= kMaxDelta, ++fillers) {
+    label.deltas.push_back(kMaxDelta);
+    label.dists.push_back(kInfiniteTime);
+  }
+  label.deltas.push_back(static_cast<std::uint16_t>(gap));
+  label.dists.push_back(d);
+  label.last_rank = rank;
+  return fillers;
+}
 
 // One direction's arcs at one slot, CSR by node: (neighbour, travel time)
 // side by side rather than edge ids into the 24-slot time table.
@@ -41,20 +61,22 @@ struct SlotArcs {
   std::vector<std::pair<NodeId, Seconds>> arcs;
 };
 
-// Concatenates per-node labels into offset-indexed rank and distance
+// Concatenates per-node labels into offset-indexed delta and distance
 // arrays, freeing each node's build vectors once copied.
 void Flatten(std::vector<BuildLabel>& labels,
-             std::vector<std::size_t>& offsets,
-             std::vector<std::uint32_t>& ranks, std::vector<Seconds>& dists) {
+             std::vector<std::uint32_t>& offsets,
+             std::vector<std::uint16_t>& deltas, std::vector<Seconds>& dists) {
   std::size_t total = 0;
-  for (const BuildLabel& label : labels) total += label.ranks.size();
-  ranks.reserve(total);
+  for (const BuildLabel& label : labels) total += label.deltas.size();
+  FM_CHECK_LE(total, std::numeric_limits<std::uint32_t>::max());
+  deltas.reserve(total);
   dists.reserve(total);
+  offsets.reserve(labels.size() + 1);
   offsets.assign(1, 0);
   for (BuildLabel& label : labels) {
-    ranks.insert(ranks.end(), label.ranks.begin(), label.ranks.end());
+    deltas.insert(deltas.end(), label.deltas.begin(), label.deltas.end());
     dists.insert(dists.end(), label.dists.begin(), label.dists.end());
-    offsets.push_back(ranks.size());
+    offsets.push_back(static_cast<std::uint32_t>(deltas.size()));
     label = BuildLabel();
   }
 }
@@ -142,18 +164,21 @@ HubLabels HubLabels::Build(const RoadNetwork& net, int slot) {
   std::vector<Seconds> hub_dist(n, kInfiniteTime);
   std::vector<QueueEntry> heap;
   const std::greater<QueueEntry> later;
+  std::size_t fillers = 0;
 
   // Pruned Dijkstra from the hub of rank `rank`: forward fills the in-labels
   // of nodes it reaches, backward the out-labels of nodes reaching it. Prune
   // sums run out + in, as in Query; push_heap/pop_heap with std::greater pop
-  // in std::priority_queue's order.
+  // in std::priority_queue's order. Every label walk keeps a running rank.
   auto search = [&](std::uint32_t rank, auto forward) {
     const NodeId hub = order[rank];
     const SlotArcs& arcs = forward ? out_arcs : in_arcs;
     const BuildLabel& hub_label = forward ? out_labels[hub] : in_labels[hub];
     std::vector<BuildLabel>& labels = forward ? in_labels : out_labels;
-    for (std::size_t i = 0; i < hub_label.ranks.size(); ++i) {
-      hub_dist[hub_label.ranks[i]] = hub_label.dists[i];
+    std::uint32_t r = 0;
+    for (std::size_t i = 0; i < hub_label.deltas.size(); ++i) {
+      r += hub_label.deltas[i];
+      hub_dist[r] = hub_label.dists[i];
     }
     dist[hub] = 0.0;
     touched.push_back(hub);
@@ -165,14 +190,15 @@ HubLabels HubLabels::Build(const RoadNetwork& net, int slot) {
       if (d > dist[u]) continue;
       // Prune: an earlier hub already certifies a path of length <= d.
       BuildLabel& label = labels[u];
+      std::uint32_t label_rank = 0;
       std::size_t i = 0;
-      for (; i < label.ranks.size(); ++i) {
-        const Seconds h = hub_dist[label.ranks[i]];
+      for (; i < label.deltas.size(); ++i) {
+        label_rank += label.deltas[i];
+        const Seconds h = hub_dist[label_rank];
         if ((forward ? h + label.dists[i] : label.dists[i] + h) <= d) break;
       }
-      if (i < label.ranks.size()) continue;
-      label.ranks.push_back(rank);
-      label.dists.push_back(d);
+      if (i < label.deltas.size()) continue;
+      fillers += Append(label, rank, d);
       for (std::size_t a = arcs.offsets[u]; a < arcs.offsets[u + 1]; ++a) {
         const auto [v, time] = arcs.arcs[a];
         const Seconds nd = d + time;
@@ -186,7 +212,11 @@ HubLabels HubLabels::Build(const RoadNetwork& net, int slot) {
     }
     for (NodeId u : touched) dist[u] = kInfiniteTime;
     touched.clear();
-    for (std::uint32_t r : hub_label.ranks) hub_dist[r] = kInfiniteTime;
+    r = 0;
+    for (std::uint16_t delta : hub_label.deltas) {
+      r += delta;
+      hub_dist[r] = kInfiniteTime;
+    }
   };
   for (std::uint32_t rank = 0; rank < n; ++rank) {
     search(rank, /*forward=*/std::true_type());
@@ -195,9 +225,10 @@ HubLabels HubLabels::Build(const RoadNetwork& net, int slot) {
 
   HubLabels labels;
   labels.num_nodes_ = n;
-  Flatten(out_labels, labels.out_offsets_, labels.out_ranks_,
+  labels.fillers_ = fillers;
+  Flatten(out_labels, labels.out_offsets_, labels.out_deltas_,
           labels.out_dists_);
-  Flatten(in_labels, labels.in_offsets_, labels.in_ranks_, labels.in_dists_);
+  Flatten(in_labels, labels.in_offsets_, labels.in_deltas_, labels.in_dists_);
   return labels;
 }
 
@@ -205,28 +236,41 @@ Seconds HubLabels::Query(NodeId s, NodeId t) const {
   FM_CHECK_LT(s, num_nodes_);
   FM_CHECK_LT(t, num_nodes_);
   if (s == t) return 0.0;
-  std::size_t i = out_offsets_[s];
-  const std::size_t i_end = out_offsets_[s + 1];
-  std::size_t j = in_offsets_[t];
-  const std::size_t j_end = in_offsets_[t + 1];
+  std::uint32_t i = out_offsets_[s];
+  const std::uint32_t i_end = out_offsets_[s + 1];
+  std::uint32_t j = in_offsets_[t];
+  const std::uint32_t j_end = in_offsets_[t + 1];
   Seconds best = kInfiniteTime;
-  while (i != i_end && j != j_end) {
-    if (out_ranks_[i] == in_ranks_[j]) {
+  if (i == i_end || j == j_end) return best;
+  // Running hub ranks of entries i and j.
+  std::uint32_t ri = out_deltas_[i];
+  std::uint32_t rj = in_deltas_[j];
+  while (true) {
+    if (ri == rj) {
       const Seconds d = out_dists_[i] + in_dists_[j];
       if (d < best) best = d;
-      ++i;
-      ++j;
-    } else if (out_ranks_[i] < in_ranks_[j]) {
-      ++i;
+      if (++i == i_end || ++j == j_end) break;
+      ri += out_deltas_[i];
+      rj += in_deltas_[j];
+    } else if (ri < rj) {
+      if (++i == i_end) break;
+      ri += out_deltas_[i];
     } else {
-      ++j;
+      if (++j == j_end) break;
+      rj += in_deltas_[j];
     }
   }
   return best;
 }
 
 std::size_t HubLabels::TotalLabelEntries() const {
-  return out_ranks_.size() + in_ranks_.size();
+  return out_deltas_.size() + in_deltas_.size() - fillers_;
+}
+
+std::size_t HubLabels::MemoryBytes() const {
+  constexpr std::size_t kEntryBytes = sizeof(std::uint16_t) + sizeof(Seconds);
+  return sizeof(std::uint32_t) * (out_offsets_.size() + in_offsets_.size()) +
+         kEntryBytes * (out_deltas_.size() + in_deltas_.size());
 }
 
 double HubLabels::AverageLabelSize() const {

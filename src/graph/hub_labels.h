@@ -13,6 +13,13 @@
 // the prune test is one pass over the popped node's label. Queries are a
 // merge-join over labels sorted by hub rank. Distances are exact (verified
 // against Dijkstra in tests).
+//
+// Entries are 10 B, in the build and in the index: a 16-bit delta to the
+// previous entry's hub rank (to 0 for the first entry) plus a double
+// distance, so every label walk keeps a running rank. A rank gap
+// above 65 535 is bridged by filler entries of delta 65 535 and distance
+// +inf; a filler adds +inf to any sum, so it never lowers a query answer or
+// certifies a prune, and labels and answers are independent of the format.
 #ifndef FOODMATCH_GRAPH_HUB_LABELS_H_
 #define FOODMATCH_GRAPH_HUB_LABELS_H_
 
@@ -35,8 +42,12 @@ class HubLabels {
   Seconds Query(NodeId s, NodeId t) const;
 
   // Total number of (hub, distance) entries across all labels — the usual
-  // space/quality measure for a labeling.
+  // space/quality measure for a labeling. Fillers are not counted.
   std::size_t TotalLabelEntries() const;
+
+  // Bytes the index holds: offsets, rank deltas and distances, fillers
+  // included.
+  std::size_t MemoryBytes() const;
 
   // Average label entries per node (out + in).
   double AverageLabelSize() const;
@@ -47,15 +58,17 @@ class HubLabels {
   HubLabels() = default;
 
   std::size_t num_nodes_ = 0;
-  // Flattened per-node labels split by field, 12 B per entry: node u's
-  // out-label is out_ranks_/out_dists_ over [out_offsets_[u],
-  // out_offsets_[u + 1]), ranks ascending (construction order guarantees
-  // this); likewise in-labels. Query reads distances only on a rank match.
-  std::vector<std::size_t> out_offsets_;
-  std::vector<std::uint32_t> out_ranks_;
+  std::size_t fillers_ = 0;  // filler entries over both directions
+  // Flattened per-node labels split by field, 10 B per entry: node u's
+  // out-label is out_deltas_/out_dists_ over [out_offsets_[u],
+  // out_offsets_[u + 1]), ranks strictly ascending (construction order
+  // guarantees this) and delta-coded from 0; likewise in-labels. Query
+  // reads distances only on a rank match.
+  std::vector<std::uint32_t> out_offsets_;
+  std::vector<std::uint16_t> out_deltas_;
   std::vector<Seconds> out_dists_;
-  std::vector<std::size_t> in_offsets_;
-  std::vector<std::uint32_t> in_ranks_;
+  std::vector<std::uint32_t> in_offsets_;
+  std::vector<std::uint16_t> in_deltas_;
   std::vector<Seconds> in_dists_;
 };
 

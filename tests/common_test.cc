@@ -1,9 +1,13 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/strings.h"
@@ -204,6 +208,27 @@ TEST(TimeTest, FormatDuration) {
   EXPECT_EQ(FormatDuration(30.0), "30.0s");
   EXPECT_EQ(FormatDuration(600.0), "10.0min");
   EXPECT_EQ(FormatDuration(7200.0), "2.00h");
+}
+
+// ---------- FM_CHECK ----------
+
+// A failed check must not lose what the program printed before it: abort()
+// drops buffered stdout, so CheckFailed flushes it first.
+TEST(CheckDeathTest, FailedCheckKeepsPrintedStdout) {
+  const std::string path = ::testing::TempDir() + "check_keeps_stdout.txt";
+  std::remove(path.c_str());
+  EXPECT_DEATH(
+      {
+        FM_CHECK(std::freopen(path.c_str(), "w", stdout) != nullptr);
+        std::printf("row 1\n");
+        FM_CHECK(1 + 1 == 3);
+      },
+      "FM_CHECK failed: 1 \\+ 1 == 3");
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line)) << "stdout lost: " << path;
+  EXPECT_EQ(line, "row 1");
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -89,6 +89,31 @@ TEST(DistanceOracleTest, WarmSlotsPrebuildsLabels) {
   EXPECT_DOUBLE_EQ(oracle.Duration(0, 9, 12 * 3600.0), 9 * 60.0);
 }
 
+TEST(DistanceOracleTest, IndexSizeSumsTheBuiltSlots) {
+  RoadNetwork net = testing::LineNetwork(12);
+  DistanceOracle oracle(&net, OracleBackend::kHubLabels);
+  EXPECT_EQ(oracle.LabelEntries(), 0u);
+  EXPECT_EQ(oracle.IndexBytes(), 0u);
+  oracle.WarmSlots(10, 11);
+  oracle.Duration(0, 11, 20 * 3600.0);  // builds slot 20 lazily
+  std::size_t entries = 0;
+  std::size_t bytes = 0;
+  for (int slot : {10, 11, 20}) {
+    const HubLabels labels = HubLabels::Build(net, slot);
+    entries += labels.TotalLabelEntries();
+    bytes += labels.MemoryBytes();
+  }
+  EXPECT_EQ(oracle.LabelEntries(), entries);
+  EXPECT_EQ(oracle.IndexBytes(), bytes);
+  // No fillers at this size: 10 B per entry plus 2 × 13 offsets per slot.
+  EXPECT_EQ(bytes, 10 * entries + 3 * 2 * 13 * sizeof(std::uint32_t));
+
+  DistanceOracle dijkstra(&net, OracleBackend::kDijkstra);
+  dijkstra.Duration(0, 11, 10 * 3600.0);
+  EXPECT_EQ(dijkstra.LabelEntries(), 0u);
+  EXPECT_EQ(dijkstra.IndexBytes(), 0u);
+}
+
 // Warming with a pool must be a pure speed change: the per-slot indices are
 // deterministic functions of (network, slot), so a concurrently warmed
 // oracle serves durations bit-identical to a serially warmed one.

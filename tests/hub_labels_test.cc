@@ -88,6 +88,35 @@ TEST(HubLabelsTest, LabelSizeIsReported) {
   EXPECT_EQ(labels.num_nodes(), 16u);
 }
 
+// 70 000 nodes along one line, all isolated but for one road pair between
+// node 35 000 (in the top separator, so an early hub) and node 69 999 (the
+// last rank). Node 69 999's labels, and every label of a node ranked above
+// 65 535, bridge a rank gap wider than a 16-bit delta with fillers.
+TEST(HubLabelsTest, FillersBridgeWideRankGaps) {
+  constexpr int kNodes = 70000;
+  constexpr NodeId kHub = 35000;
+  constexpr NodeId kLast = kNodes - 1;
+  RoadNetwork::Builder builder;
+  for (int i = 0; i < kNodes; ++i) builder.AddNode({0.0, i * 0.001});
+  builder.AddEdgeConstant(kHub, kLast, 500.0, 42.125);
+  builder.AddEdgeConstant(kLast, kHub, 500.0, 17.5);
+  HubLabels labels = HubLabels::Build(builder.Build(), 0);
+
+  EXPECT_EQ(labels.Query(kHub, kLast), 42.125);
+  EXPECT_EQ(labels.Query(kLast, kHub), 17.5);
+  // A misdecoded rank would match some isolated node's own entry.
+  for (NodeId u = 0; u < kLast; ++u) {
+    if (u == kHub) continue;
+    ASSERT_EQ(labels.Query(u, kLast), kInfiniteTime) << "u=" << u;
+    ASSERT_EQ(labels.Query(kLast, u), kInfiniteTime) << "u=" << u;
+  }
+  // Each node's own rank in both labels, plus kHub in both of kLast's.
+  const std::size_t entries = 2 * kNodes + 2;
+  EXPECT_EQ(labels.TotalLabelEntries(), entries);
+  const std::size_t offset_bytes = 2 * (kNodes + 1) * sizeof(std::uint32_t);
+  EXPECT_GT(labels.MemoryBytes(), 10 * entries + offset_bytes);
+}
+
 // FNV-1a over the bit patterns of every Query(s, t), s-major.
 std::uint64_t AllPairsQueryHash(const HubLabels& labels) {
   std::uint64_t hash = kFnv1aOffsetBasis;

@@ -22,7 +22,9 @@ For every committed BENCH_*.json anchor, the freshly regenerated candidate
     best-first search settling nodes in another order). The EdgeCache's
     resident state at run end (memo_entries, footprint_visits) is
     deterministic for a given lane count and is gated the same way, so
-    unbounded cache growth fails too.
+    unbounded cache growth fails too. The hub-label warm-up rows'
+    label_entries and index_bytes are pure functions of the network and
+    the slots, so a change to the labeling or to its storage format fails.
 
 Timings, throughputs, and machine blocks are *informational*: wall clocks
 differ across builders by design, so the check prints the relative drift
@@ -54,7 +56,8 @@ INFORMATIONAL_KEYS = {"machine", "hardware_threads", "context", "date"}
 # Scalar leaves that must equal the anchor exactly, like fingerprints.
 EXACT_KEYS = {"schema", "bench", "fingerprint", "footprint_replays",
               "footprint_rebuilds", "nodes_expanded", "mcost_evaluations",
-              "memo_entries", "footprint_visits"}
+              "memo_entries", "footprint_visits", "label_entries",
+              "index_bytes"}
 
 
 def json_type(value):
